@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{Audit, ConfusionCounts, Fairness, Lens}
+import repro.core.{Audit, ConfusionCube, Fairness, Lens}
 import repro.data.Social
 import repro.eval.Tables
 
@@ -81,9 +81,9 @@ object AuditDemo {
     val spark = JobSession.session("audit-demo")
     val ds = Social.facultyMatch(spark)
     val m = new repro.matchers.neural.DittoSim
-    val scored = m.fit(ds).scores(ds.test).cache()
+    val cube = ConfusionCube(m.fit(ds).scores(ds.test), Seq(0.5))
     for (lens <- Seq(Lens.Single, Lens.Pairwise)) {
-      val res = Audit.run(scored, 0.5, lens)
+      val res = Audit.fromCube(cube, 0.5, lens, Fairness.all, minSupport = 10)
       println(s"== ${m.name} on ${ds.name} ($lens) ==")
       for (measure <- Fairness.all) {
         val unfair = res.unfairGroups(measure)
@@ -92,7 +92,7 @@ object AuditDemo {
       val eo = res.unfairGroupsEO()
       if (eo.nonEmpty) println(f"  EO    unfair for: ${eo.mkString(", ")}")
     }
-    println(s"overall confusion @0.5: ${ConfusionCounts.overall(scored, 0.5)}")
+    println(s"overall confusion @0.5: ${cube.overall(0.5)}")
     spark.stop()
   }
 }

@@ -37,25 +37,36 @@ object Audit {
       (unfairGroups(Fairness.TPRP, tauFair) ++ unfairGroups(Fairness.FPRP, tauFair)).distinct.sorted
   }
 
-  /** Runs the audit at one matching threshold.
-    *
-    * @param minSupport groups with fewer legitimate pairs are skipped —
-    *                   only "valid groups" are audited (§5.1).
-    */
+  /** Runs the audit at one matching threshold. */
   def run(
       scored: DataFrame,
       tauMatch: Double,
       lens: Lens = Lens.Single,
       measures: Seq[Fairness.Measure] = Fairness.all,
       minSupport: Long = 10,
-  ): Result = {
-    val overall = ConfusionCounts.overall(scored, tauMatch)
-    val perGroup = lens match {
-      case Lens.Single   => ConfusionCounts.single(scored, tauMatch)
-      case Lens.Pairwise => ConfusionCounts.pairwise(scored, tauMatch)
-    }
+  ): Result = fromCube(ConfusionCube(scored, Seq(tauMatch)), tauMatch, lens, measures, minSupport)
+
+  /** Threshold sweep: audits at each τ; used for the Table 7 sensitivity. */
+  def sweep(
+      scored: DataFrame,
+      taus: Seq[Double],
+      lens: Lens = Lens.Single,
+      measures: Seq[Fairness.Measure] = Fairness.all,
+      minSupport: Long = 10,
+  ): Seq[Result] = {
+    val cube = ConfusionCube(scored, taus)
+    taus.map(fromCube(cube, _, lens, measures, minSupport))
+  }
+
+  /** The audit at `tauMatch`, one of the thresholds `cube` was built for.
+    * Groups with fewer than `minSupport` legitimate pairs are skipped: only
+    * "valid groups" are audited (§5.1).
+    */
+  def fromCube(cube: ConfusionCube, tauMatch: Double, lens: Lens,
+               measures: Seq[Fairness.Measure], minSupport: Long): Result = {
+    val overall = cube.overall(tauMatch)
     val cells = for {
-      (g, conf) <- perGroup.toSeq.sortBy(_._1)
+      (g, conf) <- cube.counts(tauMatch, lens.keys).toSeq.sortBy(_._1)
       if conf.total >= minSupport
       m <- measures
     } yield {
@@ -66,21 +77,6 @@ object Audit {
       Cell(g, m, ov, gv, sub, div, conf.total)
     }
     Result(tauMatch, lens, cells)
-  }
-
-  /** Threshold sweep: audits at each τ; used for the Table 7 sensitivity. */
-  def sweep(
-      scored: DataFrame,
-      taus: Seq[Double],
-      lens: Lens = Lens.Single,
-      measures: Seq[Fairness.Measure] = Fairness.all,
-      minSupport: Long = 10,
-  ): Seq[Result] = {
-    // One cached scored frame serves every threshold (scores are reused;
-    // only the cheap per-τ aggregations differ).
-    scored.cache()
-    try taus.map(t => run(scored, t, lens, measures, minSupport))
-    finally scored.unpersist()
   }
 
   /** Table 7's threshold sensitivity: the ℓ2 norm of the differences in the

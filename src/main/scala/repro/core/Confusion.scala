@@ -9,82 +9,84 @@ final case class Confusion(tp: Long, fp: Long, tn: Long, fn: Long) {
   def +(o: Confusion): Confusion = Confusion(tp + o.tp, fp + o.fp, tn + o.tn, fn + o.fn)
 }
 
-/** The auditing lens (§3.2.2): single — a pair is legitimate for group g if
-  * either record belongs to g; pairwise — legitimate for the unordered group
-  * pair {g, g'} if one record belongs to g and the other to g'.
+object Confusion { val zero: Confusion = Confusion(0, 0, 0, 0) }
+
+/** The auditing lens (§3.2.2) as the keys a pair with left/right group sets
+  * (g1, g2) is legitimate for: single — every level-1 group of either record;
+  * pairwise — the unordered group pair "g|g'" (g <= g') of every left-record
+  * group g with every right-record group g'.
   */
-sealed trait Lens
+sealed abstract class Lens(val keys: (Seq[String], Seq[String]) => Iterable[String])
 object Lens {
-  case object Single extends Lens
-  case object Pairwise extends Lens
+  case object Single extends Lens(_ ++ _)
+  case object Pairwise extends Lens((g1, g2) => for (a <- g1; b <- g2) yield if (a <= b) s"$a|$b" else s"$b|$a")
 }
 
-/** Per-group confusion-count aggregation over scored pairs, as DataFrame
-  * aggregations (Appendix B semantics: a pair's result is counted for the
-  * group(s) of BOTH records).
+/** The confusion cube of one scored frame: pair counts by (left group set,
+  * right group set, label, τ-bucket) from one Spark aggregation collected to
+  * the driver. Overall, lens, subgroup and per-τ counts are Scala projections
+  * of it (Appendix B: a pair's result counts for the groups of BOTH records).
   *
   * Input schema: `g1 array<string>`, `g2 array<string>`, `label int`,
-  * `score double`. Thresholding (`score >= tau` => match) happens here, so
-  * that threshold sweeps (Table 7) share a single scored DataFrame.
+  * `score double`. A pair is a match at τ iff Spark's `score >= τ` holds.
   */
-object ConfusionCounts {
+final class ConfusionCube private (grid: IndexedSeq[Double], cells: Seq[ConfusionCube.Cell]) {
 
-  private def predOutcomes(tau: Double) = Seq(
-    sum(when(col("pred") === 1 && col("label") === 1, 1L).otherwise(0L)) as "tp",
-    sum(when(col("pred") === 1 && col("label") === 0, 1L).otherwise(0L)) as "fp",
-    sum(when(col("pred") === 0 && col("label") === 0, 1L).otherwise(0L)) as "tn",
-    sum(when(col("pred") === 0 && col("label") === 1, 1L).otherwise(0L)) as "fn",
-  )
-
-  private def withPred(scored: DataFrame, tau: Double): DataFrame =
-    scored.withColumn("pred", when(col("score") >= tau, 1).otherwise(0))
+  /** Confusion at grid value `tau` per key; a pair counts once per distinct key in `keysOf(g1, g2)`. */
+  def counts(tau: Double, keysOf: (Seq[String], Seq[String]) => Iterable[String]): Map[String, Confusion] = {
+    val i = grid.indexOf(tau)
+    require(i >= 0, s"τ $tau is not in the cube's grid ${grid.mkString(", ")}")
+    cells.foldLeft(Map.empty[String, Confusion]) { (acc, c) =>
+      val conf = c.confusion(matched = c.bucket > i)
+      keysOf(c.g1, c.g2).toSet.foldLeft(acc)((m, k) => m.updated(k, m.getOrElse(k, Confusion.zero) + conf))
+    }
+  }
 
   /** Overall confusion over all pairs (group-independent reference of Eq 1). */
-  def overall(scored: DataFrame, tau: Double): Confusion = {
-    val r = withPred(scored, tau).agg(predOutcomes(tau).head, predOutcomes(tau).tail: _*).head()
-    Confusion(r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))
+  def overall(tau: Double): Confusion =
+    counts(tau, (_, _) => Seq("")).getOrElse("", Confusion.zero)
+
+  /** Confusion for a subgroup (any level) under the single lens. */
+  def forSubgroup(tau: Double, sg: GroupEncoding.Subgroup): Confusion =
+    counts(tau, (g1, g2) => if (sg.contains(g1) || sg.contains(g2)) Seq(sg.key) else Nil)
+      .getOrElse(sg.key, Confusion.zero)
+}
+
+object ConfusionCube {
+
+  /** `n` pairs sharing group sets, label and τ-bucket, the number of grid
+    * thresholds their score passes: these are a prefix of the ascending grid,
+    * so the pairs are matches at `grid(i)` iff `bucket > i`.
+    */
+  private final case class Cell(g1: Seq[String], g2: Seq[String], label: Option[Int], bucket: Int, n: Long) {
+    def confusion(matched: Boolean): Confusion = (label, matched) match {
+      case (Some(1), true)  => Confusion(n, 0, 0, 0)
+      case (Some(0), true)  => Confusion(0, n, 0, 0)
+      case (Some(0), false) => Confusion(0, 0, n, 0)
+      case (Some(1), false) => Confusion(0, 0, 0, n)
+      case _                => Confusion.zero
+    }
   }
 
-  /** Per-group confusion under the single lens: one row per level-1 group; a
-    * pair contributes once to every group either of its records belongs to.
-    */
+  /** One Spark aggregation over `scored` that serves every τ in `taus`. */
+  def apply(scored: DataFrame, taus: Seq[Double]): ConfusionCube = {
+    val grid = taus.distinct.sorted(Ordering.Double.TotalOrdering).toIndexedSeq
+    val bucket = grid.map(t => when(col("score") >= t, 1).otherwise(0)).foldLeft(lit(0))(_ + _)
+    val cells = scored.groupBy(col("g1"), col("g2"), col("label"), bucket).count().collect().map { r =>
+      Cell(r.getSeq[String](0), r.getSeq[String](1),
+        if (r.isNullAt(2)) None else Some(r.getInt(2)), r.getInt(3), r.getLong(4))
+    }
+    new ConfusionCube(grid, cells.toSeq)
+  }
+}
+
+/** Confusion counts of a scored frame at one τ, one [[ConfusionCube]] pass per call. */
+object ConfusionCounts {
+  def overall(scored: DataFrame, tau: Double): Confusion = ConfusionCube(scored, Seq(tau)).overall(tau)
   def single(scored: DataFrame, tau: Double): Map[String, Confusion] =
-    collect(
-      withPred(scored, tau)
-        .withColumn("group", explode(array_distinct(concat(col("g1"), col("g2")))))
-    )
-
-  /** Per-group-pair confusion under the pairwise lens: key "g|g'" with
-    * g <= g' lexicographically; a pair contributes once per unordered
-    * combination of a left-record group with a right-record group.
-    */
+    ConfusionCube(scored, Seq(tau)).counts(tau, Lens.Single.keys)
   def pairwise(scored: DataFrame, tau: Double): Map[String, Confusion] =
-    collect(
-      withPred(scored, tau)
-        .withColumn("ga", explode(col("g1")))
-        .withColumn("gb", explode(col("g2")))
-        .withColumn("group",
-          concat_ws("|", least(col("ga"), col("gb")), greatest(col("ga"), col("gb"))))
-        // count a pair once per unordered group pair even when both
-        // directions produce the same key
-        .dropDuplicates("id1", "id2", "group")
-    )
-
-  private def collect(exploded: DataFrame): Map[String, Confusion] = {
-    exploded
-      .groupBy("group")
-      .agg(predOutcomes(0).head, predOutcomes(0).tail: _*)
-      .collect()
-      .map(r => r.getString(0) -> Confusion(r.getLong(1), r.getLong(2), r.getLong(3), r.getLong(4)))
-      .toMap
-  }
-
-  /** Confusion for a specific subgroup (any level) under the single lens. */
-  def forSubgroup(scored: DataFrame, tau: Double, sg: GroupEncoding.Subgroup): Confusion = {
-    val member = udf((g: Seq[String]) => sg.contains(g))
-    val legit  = withPred(scored, tau).filter(member(col("g1")) || member(col("g2")))
-    val r = legit.agg(predOutcomes(tau).head, predOutcomes(tau).tail: _*).head()
-    if (r.isNullAt(0)) Confusion(0, 0, 0, 0)
-    else Confusion(r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))
-  }
+    ConfusionCube(scored, Seq(tau)).counts(tau, Lens.Pairwise.keys)
+  def forSubgroup(scored: DataFrame, tau: Double, sg: GroupEncoding.Subgroup): Confusion =
+    ConfusionCube(scored, Seq(tau)).forSubgroup(tau, sg)
 }

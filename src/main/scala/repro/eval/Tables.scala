@@ -42,9 +42,7 @@ object Tables {
       tau: Double = 0.5): Seq[SocialRow] = {
     matchers.flatMap { m =>
       scoredTest(m, ds).map { scored =>
-        val cached = scored.cache()
-        val byGroup = ConfusionCounts.single(cached, tau)
-        cached.unpersist()
+        val byGroup = ConfusionCounts.single(scored, tau)
         def v(measure: Fairness.Measure, g: String): Double =
           byGroup.get(g).flatMap(measure.value).getOrElse(Double.NaN)
         val (g1, r1) = (v(measure1, auditedGroup), v(measure1, referenceGroup))

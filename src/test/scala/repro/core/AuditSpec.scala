@@ -61,6 +61,14 @@ class AuditSpec extends SparkSpec {
     val sw = Audit.sweep(biased, Seq(0.3, 0.5, 0.95))
     assert(sw.map(_.tauMatch) == Seq(0.3, 0.5, 0.95))
   }
+  test("sweep leaves the caller's storage level unchanged") {
+    val df = TestPairs.scored(spark, Seq((1L, 2L, Seq("a"), Seq("a"), 1, 0.9))).cache()
+    try {
+      val before = df.storageLevel
+      Audit.sweep(df, Seq(0.3, 0.5))
+      assert(df.storageLevel == before)
+    } finally df.unpersist()
+  }
   test("threshold sensitivity: constant unfairness -> 0") {
     val sw = Audit.sweep(biased, Seq(0.3, 0.5))
     // both thresholds sit between the two score levels 0.1/0.9 -> no change

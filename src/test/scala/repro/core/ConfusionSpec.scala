@@ -1,5 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.{AnyOperators, propBoolean}
+import org.scalacheck.rng.Seed
+
 import repro.{SparkSpec, TestPairs, Oracle}
 
 /** Confusion aggregation under single/pairwise lenses, including the
@@ -62,6 +66,20 @@ class ConfusionSpec extends SparkSpec {
     val m = ConfusionCounts.pairwise(df, 0.5)
     assert(m.keySet == Set("Pop|Pop", "Pop|Rock"))
     assert(m("Pop|Rock").fp == 1)
+  }
+
+  test("pairwise lens counts genuinely repeated pairs, as single and overall do") {
+    val row = (1L, 2L, Seq("a"), Seq("b"), 1, 1.0)
+    val df = TestPairs.scored(spark, Seq(row, row))
+    assert(ConfusionCounts.pairwise(df, 0.5) == Map("a|b" -> Confusion(2, 0, 0, 0)))
+    assert(ConfusionCounts.single(df, 0.5)("a") == Confusion(2, 0, 0, 0))
+    assert(ConfusionCounts.overall(df, 0.5) == Confusion(2, 0, 0, 0))
+  }
+
+  test("an empty frame counts nothing") {
+    val df = TestPairs.scored(spark, Nil)
+    assert(ConfusionCounts.overall(df, 0.5) == Confusion(0, 0, 0, 0))
+    assert(ConfusionCounts.single(df, 0.5).isEmpty && ConfusionCounts.pairwise(df, 0.5).isEmpty)
   }
 
   test("forSubgroup restricts to legitimate pairs of a level-2 subgroup") {
@@ -131,6 +149,97 @@ class ConfusionSpec extends SparkSpec {
           sum(CASE WHEN pred='0' AND label='1' THEN 1 ELSE 0 END) AS fn
         FROM flat""",
       "flat" -> flat)
+  }
+
+  test("oracle: pairwise lens over setwise groups matches DuckDB at three thresholds") {
+    val rnd = new scala.util.Random(17)
+    val universe = Seq("a", "b", "c", "d")
+    val taus = Seq(0.25, 0.5, 0.75)
+    def groups(): Seq[String] = rnd.shuffle(universe).take(rnd.nextInt(4))
+    // Scores on a 1/8 grid: exact in text, and tied with every τ.
+    val rows = (0 until 300).map { _ =>
+      (rnd.nextInt(40).toLong, rnd.nextInt(40).toLong, groups(), groups(), rnd.nextInt(2), rnd.nextInt(9) / 8.0)
+    }
+    val cube = ConfusionCube(TestPairs.scored(spark, rows), taus)
+    val sparkRes = spark.createDataFrame(
+      for (t <- taus; (k, c) <- cube.counts(t, Lens.Pairwise.keys).toSeq) yield (t, k, c.tp, c.fp, c.tn, c.fn)
+    ).toDF("tau", "grp", "tp", "fp", "tn", "fn")
+    // One row per (pair, side, group), flattened in plain Scala.
+    val flat = spark.createDataFrame(rows.zipWithIndex.flatMap { case ((_, _, g1, g2, y, s), p) =>
+      g1.map((p, 1, _, y, s)) ++ g2.map((p, 2, _, y, s))
+    }).toDF("pair", "side", "grp", "label", "score")
+    Oracle.assertEquivalent(
+      sparkRes,
+      """WITH f AS (
+           SELECT CAST(pair AS INT) AS pair, CAST(side AS INT) AS side, grp,
+                  CAST(label AS INT) AS label, CAST(score AS DOUBLE) AS score FROM flat),
+         k AS (
+           SELECT DISTINCT l.pair, least(l.grp, r.grp) || '|' || greatest(l.grp, r.grp) AS grp,
+                  l.label, l.score
+           FROM f l JOIN f r ON l.pair = r.pair AND l.side = 1 AND r.side = 2)
+        SELECT t.tau AS tau, grp,
+          sum(CASE WHEN score >= t.tau AND label = 1 THEN 1 ELSE 0 END) AS tp,
+          sum(CASE WHEN score >= t.tau AND label = 0 THEN 1 ELSE 0 END) AS fp,
+          sum(CASE WHEN score <  t.tau AND label = 0 THEN 1 ELSE 0 END) AS tn,
+          sum(CASE WHEN score <  t.tau AND label = 1 THEN 1 ELSE 0 END) AS fn
+        FROM k CROSS JOIN (VALUES (0.25), (0.5), (0.75)) t(tau)
+        GROUP BY t.tau, grp""",
+      "flat" -> flat)
+  }
+
+  // ---- Cube vs brute force over the input rows ----
+
+  private type Pair = (Long, Long, Seq[String], Seq[String], Int, Double)
+
+  /** Reference: the confusion of the `legit` pairs at `tau`, by direct count. */
+  private def bruteForce(rows: Seq[Pair], tau: Double)(legit: Pair => Boolean): Confusion =
+    rows.filter(legit).foldLeft(Confusion(0, 0, 0, 0)) { case (c, (_, _, _, _, y, s)) =>
+      val m = s >= tau
+      def one(b: Boolean): Long = if (b) 1 else 0
+      c + Confusion(one(m && y == 1), one(m && y == 0), one(!m && y == 0), one(!m && y == 1))
+    }
+
+  /** Reference per key, over the keys at least one pair is legitimate for. */
+  private def bruteByKey(rows: Seq[Pair], tau: Double, keys: Seq[String])(
+      legit: (Pair, String) => Boolean): Map[String, Confusion] =
+    keys.filter(k => rows.exists(legit(_, k))).map(k => k -> bruteForce(rows, tau)(legit(_, k))).toMap
+
+  test("property: every cube projection equals a brute-force count at every threshold") {
+    val universe = Seq("a", "b", "c", "d")
+    val subgroups = GroupEncoding.hierarchy(universe, 2)
+    val pairKeys = for (a <- universe; b <- universe if a <= b) yield s"$a|$b"
+    val groupSet = Gen.choose(0, 3).flatMap(k => Gen.pick(k, universe)).map(_.toSeq)
+    val cases = for {
+      taus <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 20).map(_ * 0.05)))
+      n    <- Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 25))
+      rows <- Gen.listOfN(n, for {
+        id1 <- Gen.choose(0L, 3L); id2 <- Gen.choose(0L, 3L)
+        g1 <- groupSet; g2 <- groupSet
+        y <- Gen.oneOf(0, 1)
+        s <- Gen.oneOf(Gen.oneOf(taus), Gen.choose(0.0, 1.0)) // exact ties with τ
+      } yield (id1, id2, g1, g2, y, s))
+    } yield (taus, rows)
+    val prop = Prop.forAllNoShrink(cases) { case (taus, rows) =>
+      val cube = ConfusionCube(TestPairs.scored(spark, rows), taus)
+      Prop.all(taus.flatMap { t =>
+        val ref = bruteForce(rows, t) _
+        Seq(
+          (cube.overall(t) ?= ref(_ => true)) :| s"overall τ=$t",
+          (cube.counts(t, Lens.Single.keys) ?= bruteByKey(rows, t, universe) { (r, g) =>
+            r._3.contains(g) || r._4.contains(g)
+          }) :| s"single τ=$t",
+          (cube.counts(t, Lens.Pairwise.keys) ?= bruteByKey(rows, t, pairKeys) { (r, k) =>
+            val Array(a, b) = k.split('|')
+            (r._3.contains(a) && r._4.contains(b)) || (r._3.contains(b) && r._4.contains(a))
+          }) :| s"pairwise τ=$t",
+        ) ++ subgroups.map { sg =>
+          (cube.forSubgroup(t, sg) ?= ref(r => sg.groups.subsetOf(r._3.toSet) || sg.groups.subsetOf(r._4.toSet))) :|
+            s"subgroup ${sg.key} τ=$t"
+        }
+      }: _*)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(2023L)), prop)
+    assert(res.passed, res.status)
   }
 
   test("confusion addition") {
