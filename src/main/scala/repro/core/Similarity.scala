@@ -13,7 +13,7 @@ import org.apache.spark.sql.functions._
   *
   * Plain-Scala implementations live in the companion so they are testable
   * without Spark and reusable from the neural encoder; the `Column`
-  * functions wrap them as UDFs (Levenshtein uses Spark's built-in).
+  * functions wrap them as UDFs (Levenshtein too: `udf(levenshteinSim _)`).
   */
 object Similarity {
 

@@ -49,6 +49,13 @@ final case class EMDataset(
     ruleAttrs: Seq[MatchRule],
 ) {
   def attrNames: Seq[String] = attrs.map(_.name)
+
+  /** The confusion cube of each matcher fitted on this instance, keyed by the
+    * matcher value; `None` when the matcher refused. Filled by
+    * [[repro.eval.Tables]]. A body field, so equality and `copy` ignore it and
+    * a copy (say, with another split) starts empty.
+    */
+  private[repro] val cubes = scala.collection.mutable.Map.empty[Matcher, Option[ConfusionCube]]
 }
 
 /** Matcher category, per Table 3 of the paper. */
@@ -73,7 +80,10 @@ trait FittedMatcher {
   def scores(pairs: DataFrame): DataFrame
 }
 
-/** An entity matcher that can be trained on a dataset's train split. */
+/** An entity matcher that can be trained on a dataset's train split. Each
+  * implementation is a value (a case class): equal configurations are equal,
+  * so the table harnesses fit each (dataset, matcher) once.
+  */
 trait Matcher {
   def name: String
   def kind: MatcherKind

@@ -10,16 +10,34 @@ import repro.matchers.neural.Matchers
   * the Table 4 dataset overview) on the synthetic substrate. Each harness
   * returns structured rows and can render the same layout the paper reports;
   * EXPERIMENTS.md records paper-vs-measured side by side.
+  *
+  * Every harness reads the confusion cube of a (dataset instance, matcher)
+  * from one store: the matcher is fitted, its test split scored and the
+  * scores aggregated over [[taus]] once, whichever tables ask for it.
   */
 object Tables {
 
   /** Default matching threshold (§5.1.4): 0.5 everywhere except Cricket. */
   def thresholdFor(dsName: String): Double = if (dsName == "Cricket") 0.9 else 0.5
 
+  /** The τ grid of Figure 14 (0.30 … 0.95). */
+  val sweepTaus: Seq[Double] = (6 to 19).map(_ * 0.05)
+
+  /** Every threshold a table reads: the Figure 14 grid and [[thresholdFor]]'s. */
+  val taus: Seq[Double] = (sweepTaus ++ Seq(0.5, 0.9)).distinct
+
   /** Fits and scores; None when the matcher refuses the dataset (Dedupe). */
-  def scoredTest(m: Matcher, ds: EMDataset): Option[DataFrame] =
+  private def scoredTest(m: Matcher, ds: EMDataset): Option[DataFrame] =
     try Some(m.fit(ds).scores(ds.test))
     catch { case _: MatcherNotScalable => None }
+
+  /** The cube of `m` on `ds` over [[taus]], built on the first call for this
+    * dataset instance and matcher value and read back after; None when the
+    * matcher refuses the dataset. A score's bucket is monotone in τ, so the
+    * cube gives the same counts at each τ as a cube over that τ alone.
+    */
+  private def cube(ds: EMDataset, m: Matcher): Option[ConfusionCube] =
+    ds.cubes.synchronized(ds.cubes.getOrElseUpdate(m, scoredTest(m, ds).map(ConfusionCube(_, taus))))
 
   // ------------------------------------------------------------------
   // Tables 5 & 6: social-dataset audits
@@ -34,15 +52,17 @@ object Tables {
       m1Group: Double, m1Ref: Double, m1Sub: Double, m1Div: Double,
       m2Group: Double, m2Ref: Double, m2Sub: Double, m2Div: Double)
 
+  /** One row per matcher that accepts `ds`, at its default threshold
+    * ([[thresholdFor]]: 0.5 on both social datasets).
+    */
   def socialTable(
       ds: EMDataset,
       auditedGroup: String, referenceGroup: String,
       measure1: Fairness.Measure, measure2: Fairness.Measure,
-      matchers: Seq[Matcher] = Matchers.all,
-      tau: Double = 0.5): Seq[SocialRow] = {
+      matchers: Seq[Matcher] = Matchers.all): Seq[SocialRow] = {
     matchers.flatMap { m =>
-      scoredTest(m, ds).map { scored =>
-        val byGroup = ConfusionCounts.single(scored, tau)
+      cube(ds, m).map { c =>
+        val byGroup = c.counts(thresholdFor(ds.name), Lens.Single.keys)
         def v(measure: Fairness.Measure, g: String): Double =
           byGroup.get(g).flatMap(measure.value).getOrElse(Double.NaN)
         val (g1, r1) = (v(measure1, auditedGroup), v(measure1, referenceGroup))
@@ -58,12 +78,12 @@ object Tables {
 
   /** Table 5: NoFlyCompas — TPR and FDR for African-American vs Caucasian. */
   def table5(spark: SparkSession, matchers: Seq[Matcher] = Matchers.all): Seq[SocialRow] =
-    socialTable(Social.noFlyCompas(spark), "African-American", "Caucasian",
+    socialTable(dataset(spark, "NoFlyCompas"), "African-American", "Caucasian",
       Fairness.TPRP, Fairness.FDRP, matchers)
 
   /** Table 6: FacultyMatch — TPR and PPV for cn vs de. */
   def table6(spark: SparkSession, matchers: Seq[Matcher] = Matchers.all): Seq[SocialRow] =
-    socialTable(Social.facultyMatch(spark), "cn", "de",
+    socialTable(dataset(spark, "FacultyMatch"), "cn", "de",
       Fairness.TPRP, Fairness.PPVP, matchers)
 
   def renderSocial(title: String, h1: String, h2: String,
@@ -80,9 +100,6 @@ object Tables {
   // Table 7: threshold sensitivity
   // ------------------------------------------------------------------
 
-  /** The τ grid of Figure 14 (0.30 … 0.95). */
-  val sweepTaus: Seq[Double] = (6 to 19).map(_ * 0.05)
-
   final case class SensitivityRow(dataset: String, matcher: String,
                                   tprpSens: Double, ppvpSens: Double)
 
@@ -91,9 +108,9 @@ object Tables {
     */
   def sensitivity(ds: EMDataset, matchers: Seq[Matcher] = Matchers.all): Seq[SensitivityRow] =
     matchers.flatMap { m =>
-      scoredTest(m, ds).map { scored =>
-        val results = Audit.sweep(scored, sweepTaus,
-          measures = Seq(Fairness.TPRP, Fairness.PPVP))
+      cube(ds, m).map { c =>
+        val results = sweepTaus.map(
+          Audit.fromCube(c, _, Lens.Single, Seq(Fairness.TPRP, Fairness.PPVP), minSupport = 10))
         SensitivityRow(ds.name, m.name,
           Audit.thresholdSensitivity(results, Fairness.TPRP),
           Audit.thresholdSensitivity(results, Fairness.PPVP))
@@ -101,9 +118,8 @@ object Tables {
     }
 
   /** Table 7 datasets: iTunes-Amazon, Cameras, DBLP-ACM, DBLP-Scholar. */
-  def table7Datasets(spark: SparkSession): Seq[EMDataset] = Seq(
-    EMBench.iTunesAmazon(spark), EMBench.cameras(spark),
-    EMBench.dblpAcm(spark), EMBench.dblpScholar(spark))
+  def table7Datasets(spark: SparkSession): Seq[EMDataset] =
+    Seq("iTunes-Amazon", "Cameras", "DBLP-ACM", "DBLP-Scholar").map(dataset(spark, _))
 
   // ------------------------------------------------------------------
   // Table 9: overall correctness
@@ -115,18 +131,33 @@ object Tables {
   def correctness(ds: EMDataset, matchers: Seq[Matcher] = Matchers.all): Seq[CorrectnessRow] = {
     val tau = thresholdFor(ds.name)
     matchers.map { m =>
-      scoredTest(m, ds) match {
-        case Some(scored) =>
-          val c = ConfusionCounts.overall(scored, tau)
+      cube(ds, m) match {
+        case Some(cb) =>
+          val c = cb.overall(tau)
           CorrectnessRow(ds.name, m.name, m.kind, Audit.accuracy(c), Audit.f1(c))
         case None => CorrectnessRow(ds.name, m.name, m.kind, Double.NaN, Double.NaN)
       }
     }
   }
 
-  /** All eight datasets in Table 4 order. */
-  def allDatasets(spark: SparkSession): Seq[EMDataset] = Seq(
-    Social.facultyMatch(spark), Social.noFlyCompas(spark)) ++ EMBench.all(spark)
+  /** All eight datasets in Table 4 order, built once per session: every table
+    * reads the same instances, and so the same cubes.
+    */
+  def allDatasets(spark: SparkSession): Seq[EMDataset] = synchronized {
+    shared match {
+      case Some((s, dss)) if s eq spark => dss
+      case _ =>
+        val dss = Seq(Social.facultyMatch(spark), Social.noFlyCompas(spark)) ++ EMBench.all(spark)
+        shared = Some((spark, dss))
+        dss
+    }
+  }
+
+  /** The latest session's datasets; a new session replaces them. */
+  private var shared: Option[(SparkSession, Seq[EMDataset])] = None
+
+  private def dataset(spark: SparkSession, name: String): EMDataset =
+    allDatasets(spark).find(_.name == name).get
 
   // ------------------------------------------------------------------
   // Table 4: dataset overview

@@ -15,7 +15,7 @@ import repro.core._
   * matching produces decisions, not confidences, which also makes the matcher
   * threshold-insensitive in the Table 7 sweep, as the paper reports.
   */
-final class BooleanRuleMatcher extends Matcher {
+final case class BooleanRuleMatcher() extends Matcher {
   val name = "BooleanRuleMatcher"
   val kind: MatcherKind = MatcherKind.RuleBased
 

@@ -18,7 +18,7 @@ import repro.core._
   * to cluster on) or whose pair count exceeds ``maxPairs`` — the paper's
   * "did not scale for FacultyMatch, NoFlyCompas, Shoes and Cameras".
   */
-final class DedupeMatcher(maxPairs: Long = 20000) extends Matcher {
+final case class DedupeMatcher(maxPairs: Long = 20000) extends Matcher {
   val name = "Dedupe"
   val kind: MatcherKind = MatcherKind.NonNeural
 
@@ -46,29 +46,48 @@ final class DedupeMatcher(maxPairs: Long = 20000) extends Matcher {
           .drop((fnames ++ Seq("features", "rawPrediction", "probability", "prediction")): _*)
           .cache()
 
-        // Agglomerative step: union confident pairs, then promote every pair
-        // whose two records land in the same cluster. Left/right id spaces
-        // are distinct nodes (a left record never IS a right record).
+        // Agglomerative step: promote every pair whose two records land in
+        // the same cluster of the confident pairs.
         val edges = scored.filter(col("score") >= 0.5)
           .select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1)))
-        val parent = scala.collection.mutable.Map[(Char, Long), (Char, Long)]()
-        def find(x: (Char, Long)): (Char, Long) = {
-          var r = x
-          while (parent.getOrElse(r, r) != r) r = parent(r)
-          r
+        val root = DedupeMatcher.clusters(edges.toSeq)
+        val sameCluster = udf { (l: Long, r: Long) =>
+          val c = root.get(('L', l)); c.isDefined && c == root.get(('R', r))
         }
-        def union(a: (Char, Long), b: (Char, Long)): Unit = parent(find(a)) = find(b)
-        edges.foreach { case (l, r) => union(('L', l), ('R', r)) }
-        val cluster = udf((side: String, id: Long) => {
-          val root = find((side.head, id))
-          s"${root._1}${root._2}"
-        })
         scored
           .withColumn("score",
-            when(cluster(lit("L"), col("id1")) === cluster(lit("R"), col("id2")),
-              greatest(col("score"), lit(0.85)))
+            when(sameCluster(col("id1"), col("id2")), greatest(col("score"), lit(0.85)))
             .otherwise(col("score")))
       }
     }
+  }
+}
+
+object DedupeMatcher {
+
+  /** A record: its side ('L' or 'R') and id. Left and right ids are distinct
+    * nodes (a left record never IS a right record).
+    */
+  type Node = (Char, Long)
+
+  /** The cluster root of every record touched by the `(left id, right id)`
+    * edges: two records share a cluster iff their roots are equal. Union-find
+    * with path compression, resolved once into an immutable map so scoring
+    * does one lookup per side.
+    */
+  def clusters(edges: Seq[(Long, Long)]): Map[Node, Node] = {
+    val parent = scala.collection.mutable.HashMap.empty[Node, Node]
+    def find(x: Node): Node = {
+      var r = x
+      while (parent.getOrElse(r, r) != r) r = parent(r)
+      var y = x
+      while (y != r) { val next = parent(y); parent(y) = r; y = next }
+      r
+    }
+    edges.foreach { case (l, r) =>
+      val (a, b) = (find(('L', l)), find(('R', r)))
+      if (a != b) parent(a) = b
+    }
+    edges.flatMap { case (l, r) => Seq[Node](('L', l), ('R', r)) }.distinct.map(n => n -> find(n)).toMap
   }
 }

@@ -55,7 +55,7 @@ abstract class NonNeuralMatcher extends Matcher {
 }
 
 /** Decision-tree matcher (Magellan DTMatcher). */
-final class DTMatcher extends NonNeuralMatcher {
+final case class DTMatcher() extends NonNeuralMatcher {
   val name = "DTMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame =
     // maxBins 128: with EM's extreme class imbalance the discriminating
@@ -67,7 +67,7 @@ final class DTMatcher extends NonNeuralMatcher {
 }
 
 /** Random-forest matcher (Magellan RFMatcher). */
-final class RFMatcher extends NonNeuralMatcher {
+final case class RFMatcher() extends NonNeuralMatcher {
   val name = "RFMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame =
     probScorer(new RandomForestClassifier()
@@ -77,7 +77,7 @@ final class RFMatcher extends NonNeuralMatcher {
 }
 
 /** Logistic-regression matcher (Magellan LogRegMatcher). */
-final class LogRegMatcher extends NonNeuralMatcher {
+final case class LogRegMatcher() extends NonNeuralMatcher {
   val name = "LogRegMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame =
     probScorer(new LogisticRegression()
@@ -89,7 +89,7 @@ final class LogRegMatcher extends NonNeuralMatcher {
   * label; the raw prediction (clipped to [0,1] by the base class) is the
   * confidence — poorly calibrated by construction, as in Magellan.
   */
-final class LinRegMatcher extends NonNeuralMatcher {
+final case class LinRegMatcher() extends NonNeuralMatcher {
   val name = "LinRegMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame = {
     // Mild sqrt class weighting: plain least squares under EM's O(n) class
@@ -110,7 +110,7 @@ final class LinRegMatcher extends NonNeuralMatcher {
 /** Gaussian naive-Bayes matcher (Magellan NBMatcher) — similarity features
   * are continuous, so the Gaussian event model applies.
   */
-final class NBMatcher extends NonNeuralMatcher {
+final case class NBMatcher() extends NonNeuralMatcher {
   val name = "NBMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame =
     probScorer(new NaiveBayes()
@@ -122,7 +122,7 @@ final class NBMatcher extends NonNeuralMatcher {
   * a logistic link so the confidence lives in [0,1] like the other matchers
   * (decoupled thresholding, §3.1).
   */
-final class SVMMatcher extends NonNeuralMatcher {
+final case class SVMMatcher() extends NonNeuralMatcher {
   val name = "SVMMatcher"
   protected def trainAndScore(train: DataFrame): DataFrame => DataFrame = {
     val model = new LinearSVC()

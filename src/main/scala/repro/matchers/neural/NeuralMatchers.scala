@@ -104,7 +104,7 @@ object NeuralMatcherBase {
 }
 
 /** Ditto: pre-trained LM over a serialized record pair (structure-blind). */
-final class DittoSim extends NeuralMatcherBase {
+final case class DittoSim() extends NeuralMatcherBase {
   val name = "Ditto"
   protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     NeuralMatcherBase.globalFeatures(attrs)
@@ -114,7 +114,7 @@ final class DittoSim extends NeuralMatcherBase {
   * serialized-record summary (the hybrid model attends across attribute
   * boundaries), fed to a small MLP.
   */
-final class DeepMatcherSim extends NeuralMatcherBase {
+final case class DeepMatcherSim() extends NeuralMatcherBase {
   val name = "DeepMatcher"
   import NeuralMatcherBase._
   protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
@@ -139,7 +139,7 @@ final class DeepMatcherSim extends NeuralMatcherBase {
 }
 
 /** HierMatcher: attribute-aware token alignment. */
-final class HierMatcherSim extends NeuralMatcherBase {
+final case class HierMatcherSim() extends NeuralMatcherBase {
   val name = "HierMatcher"
   import NeuralMatcherBase._
   protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
@@ -149,7 +149,7 @@ final class HierMatcherSim extends NeuralMatcherBase {
 /** MCAN: multi-context attention — per-attribute, global, and token contexts
   * gated by the downstream classifier.
   */
-final class McanSim extends NeuralMatcherBase {
+final case class McanSim() extends NeuralMatcherBase {
   val name = "MCAN"
   import NeuralMatcherBase._
   protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
@@ -169,7 +169,7 @@ final class McanSim extends NeuralMatcherBase {
   * reproducing GNEM's characteristic F-1 collapse on DBLP-ACM (Table 9).
   * Pairs whose left record has a single candidate keep the base score.
   */
-final class GnemSim extends NeuralMatcherBase {
+final case class GnemSim() extends NeuralMatcherBase {
   val name = "GNEM"
   protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     NeuralMatcherBase.globalFeatures(attrs)

@@ -242,6 +242,45 @@ class ConfusionSpec extends SparkSpec {
     assert(res.passed, res.status)
   }
 
+  test("property: a cube over a grid counts at each of its thresholds as a cube over that threshold alone") {
+    import org.apache.spark.sql.Row
+    import org.apache.spark.sql.types._
+    val universe = Seq("a", "b", "c")
+    val subgroups = GroupEncoding.hierarchy(universe, 2)
+    val groupSet = Gen.choose(0, 3).flatMap(k => Gen.pick(k, universe)).map(_.toSeq)
+    val grids = Gen.frequency(
+      4 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 20).map(_ * 0.05))),
+      2 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0.0, 1.0))),
+      1 -> Gen.const((6 to 19).map(_ * 0.05) ++ Seq(0.5, 0.9))) // the table harnesses' grid
+    val cases = for {
+      taus <- grids
+      n    <- Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 25))
+      rows <- Gen.listOfN(n, for {
+        g1 <- groupSet; g2 <- groupSet
+        y  <- Gen.oneOf(0, 1)
+        s  <- Gen.frequency(3 -> Gen.oneOf(taus).map(Some(_)), 3 -> Gen.choose(0.0, 1.0).map(Some(_)),
+                            1 -> Gen.const(None), 1 -> Gen.const(Some(Double.NaN)))
+      } yield Row(g1, g2, y, s.getOrElse(null)))
+    } yield (taus, rows)
+    val schema = StructType(Seq(
+      StructField("g1", ArrayType(StringType)), StructField("g2", ArrayType(StringType)),
+      StructField("label", IntegerType), StructField("score", DoubleType)))
+    val prop = Prop.forAllNoShrink(cases) { case (taus, rows) =>
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+      val wide = ConfusionCube(df, taus)
+      Prop.all(taus.distinct.flatMap { t =>
+        val one = ConfusionCube(df, Seq(t))
+        Seq(
+          (wide.overall(t) ?= one.overall(t)) :| s"overall τ=$t",
+          (wide.counts(t, Lens.Single.keys) ?= one.counts(t, Lens.Single.keys)) :| s"single τ=$t",
+          (wide.counts(t, Lens.Pairwise.keys) ?= one.counts(t, Lens.Pairwise.keys)) :| s"pairwise τ=$t",
+        ) ++ subgroups.map(sg => (wide.forSubgroup(t, sg) ?= one.forSubgroup(t, sg)) :| s"subgroup ${sg.key} τ=$t")
+      }: _*)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(2024L)), prop)
+    assert(res.passed, res.status)
+  }
+
   test("confusion addition") {
     assert(Confusion(1, 2, 3, 4) + Confusion(10, 20, 30, 40) == Confusion(11, 22, 33, 44))
   }

@@ -76,6 +76,27 @@ class MatcherSpec extends SparkSpec {
     intercept[MatcherNotScalable] { new DedupeMatcher().fit(textual) }
   }
 
+  test("Dedupe clustering: a transitive chain puts both of its ends in one cluster") {
+    val c = DedupeMatcher.clusters(Seq((1L, 1L), (2L, 1L), (2L, 2L)))
+    assert(c.keySet == Set(('L', 1L), ('L', 2L), ('R', 1L), ('R', 2L)))
+    assert(c.values.toSet.size == 1 && c(('L', 1L)) == c(('R', 2L)))
+  }
+  test("Dedupe clustering: disconnected components stay apart") {
+    val c = DedupeMatcher.clusters(Seq((1L, 1L), (2L, 2L), (3L, 2L)))
+    assert(c(('L', 1L)) == c(('R', 1L)) && c(('L', 2L)) == c(('L', 3L)) && c(('L', 3L)) == c(('R', 2L)))
+    assert(c(('L', 1L)) != c(('R', 2L)))
+    // The same id on both sides names two records.
+    assert(c(('L', 2L)) != c(('R', 1L)))
+  }
+  test("Dedupe clustering: a 5000-edge chain resolves well under a second") {
+    val edges = (0L until 2500L).flatMap(i => Seq((i, i), (i + 1, i)))
+    val t0 = System.nanoTime()
+    val c = DedupeMatcher.clusters(edges)
+    val secs = (System.nanoTime() - t0) / 1e9
+    assert(edges.size == 5000 && c.size == 5001 && c.values.toSet.size == 1)
+    assert(secs < 1.0, s"$secs s")
+  }
+
   test("registry has the paper's 13 matchers") {
     assert(Matchers.all.size == 13)
     assert(Matchers.all.map(_.name).distinct.size == 13)
