@@ -20,6 +20,15 @@ object GenUtil {
 
   /** Materializes pair rows as a DataFrame with columns
     * id1, id2, l_&lt;attr&gt;…, r_&lt;attr&gt;…, g1, g2, label.
+    *
+    * The rows are built on the driver, so a `parallelize`d RDD carries them
+    * inside its partitions and every task of every later job would ship its
+    * slice again. An eager `localCheckpoint` materializes the frame once, in
+    * the generating job, and cuts that lineage: later tasks read local
+    * blocks. `cache()` would not help: a cached plan keeps its lineage, so
+    * downstream partitions still hold the rows and tasks still carry them.
+    * The checkpoint keeps the 8 partitions with the same rows in the same
+    * order, so splits and per-partition bootstraps are unchanged.
     */
   def pairsDF(spark: SparkSession, attrs: Seq[String], rows: Seq[PairRow]): DataFrame = {
     val schema = StructType(
@@ -37,7 +46,7 @@ object GenUtil {
         s"pair row arity ${p.l.size}/${p.r.size} != ${attrs.size} attrs")
       Row.fromSeq(Seq(p.id1, p.id2) ++ p.l ++ p.r ++ Seq(p.g1, p.g2, p.label))
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(data, 8), schema)
+    spark.createDataFrame(spark.sparkContext.parallelize(data, 8), schema).localCheckpoint()
   }
 
   /** Deterministic split on a stable per-pair hash (independent of row order). */

@@ -41,10 +41,13 @@ final case class DedupeMatcher(maxPairs: Long = 20000) extends Matcher {
 
     new FittedMatcher {
       def scores(pairs: DataFrame): DataFrame = {
+        // Computed once and read twice (edges below, then the caller). Not
+        // cache(): that pins a CacheManager entry for the whole session; the
+        // checkpoint's blocks are freed once the frame is unreachable.
         val scored = model.transform(prep(pairs))
           .withColumn("score", vector_to_array(col("probability"))(1))
           .drop((fnames ++ Seq("features", "rawPrediction", "probability", "prediction")): _*)
-          .cache()
+          .localCheckpoint()
 
         // Agglomerative step: promote every pair whose two records land in
         // the same cluster of the confident pairs.

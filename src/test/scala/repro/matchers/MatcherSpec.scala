@@ -75,6 +75,12 @@ class MatcherSpec extends SparkSpec {
     val textual = toy.copy(attrs = Seq(AttrSpec("name", AttrKind.LongText)))
     intercept[MatcherNotScalable] { new DedupeMatcher().fit(textual) }
   }
+  test("Dedupe: scoring leaves no cached frame behind") {
+    spark.catalog.clearCache()
+    val scored = DedupeMatcher().fit(toy).scores(toy.test)
+    assert(scored.filter(col("score") >= 0.5).count() > 0)
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
 
   test("Dedupe clustering: a transitive chain puts both of its ends in one cluster") {
     val c = DedupeMatcher.clusters(Seq((1L, 1L), (2L, 1L), (2L, 2L)))
