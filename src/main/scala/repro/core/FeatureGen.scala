@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.col
 
 /** Magellan-style automatic feature generation (§5.1.4).
   *
@@ -17,36 +18,29 @@ import org.apache.spark.sql.{Column, DataFrame}
   */
 object FeatureGen {
 
-  /** Names of the feature columns generated for one attribute. */
-  def featureNames(attr: AttrSpec): Seq[String] = attr.kind match {
-    case AttrKind.ShortStr => Seq("exact", "lev", "jw").map(s => s"f_${attr.name}_$s")
-    case AttrKind.LongText => Seq("jac", "cos", "ovl", "lev").map(s => s"f_${attr.name}_$s")
-    case AttrKind.Numeric  => Seq("exact", "num").map(s => s"f_${attr.name}_$s")
+  /** Every generated feature of a schema as (name, expression over the
+    * ``l_<attr>``/``r_<attr>`` columns), in deterministic order. The one
+    * place a feature is named.
+    */
+  def columns(attrs: Seq[AttrSpec]): Seq[(String, Column)] = attrs.flatMap { a =>
+    import Similarity._
+    val (l, r) = (col(s"l_${a.name}"), col(s"r_${a.name}"))
+    val sims = a.kind match {
+      case AttrKind.ShortStr => Seq("exact" -> exact(l, r), "lev" -> levSim(l, r), "jw" -> jaroWinklerSim(l, r))
+      case AttrKind.LongText =>
+        Seq("jac" -> jaccardSim(l, r), "cos" -> cosineSim(l, r), "ovl" -> overlapSim(l, r), "lev" -> levSim(l, r))
+      case AttrKind.Numeric  => Seq("exact" -> exact(l, r), "num" -> numSim(l, r))
+    }
+    sims.map { case (s, c) => s"f_${a.name}_$s" -> c }
   }
+
+  /** Names of the feature columns generated for one attribute. */
+  def featureNames(attr: AttrSpec): Seq[String] = featureNames(Seq(attr))
 
   /** All feature column names for a schema, in deterministic order. */
-  def featureNames(attrs: Seq[AttrSpec]): Seq[String] = attrs.flatMap(featureNames)
-
-  private def featureCols(attr: AttrSpec, l: Column, r: Column): Seq[(String, Column)] = {
-    import Similarity._
-    val base = s"f_${attr.name}"
-    attr.kind match {
-      case AttrKind.ShortStr =>
-        Seq(s"${base}_exact" -> exact(l, r), s"${base}_lev" -> levSim(l, r),
-            s"${base}_jw" -> jaroWinklerSim(l, r))
-      case AttrKind.LongText =>
-        Seq(s"${base}_jac" -> jaccardSim(l, r), s"${base}_cos" -> cosineSim(l, r),
-            s"${base}_ovl" -> overlapSim(l, r), s"${base}_lev" -> levSim(l, r))
-      case AttrKind.Numeric =>
-        Seq(s"${base}_exact" -> exact(l, r), s"${base}_num" -> numSim(l, r))
-    }
-  }
+  def featureNames(attrs: Seq[AttrSpec]): Seq[String] = columns(attrs).map(_._1)
 
   /** Adds all generated feature columns to a pair DataFrame. */
-  def addFeatures(pairs: DataFrame, attrs: Seq[AttrSpec]): DataFrame = {
-    val cols = attrs.flatMap { a =>
-      featureCols(a, pairs(s"l_${a.name}"), pairs(s"r_${a.name}"))
-    }
-    cols.foldLeft(pairs) { case (df, (name, col)) => df.withColumn(name, col) }
-  }
+  def addFeatures(pairs: DataFrame, attrs: Seq[AttrSpec]): DataFrame =
+    columns(attrs).foldLeft(pairs) { case (df, (name, c)) => df.withColumn(name, c) }
 }

@@ -21,16 +21,14 @@ final case class BooleanRuleMatcher() extends Matcher {
 
   def fit(ds: EMDataset): FittedMatcher = {
     require(ds.ruleAttrs.nonEmpty, s"no rules specified for dataset ${ds.name}")
-    val attrs = ds.attrs
-    val rules = ds.ruleAttrs
+    val features = FeatureGen.columns(ds.attrs).toMap
+    for (r <- ds.ruleAttrs)
+      require(features.contains(r.feature),
+        s"rule feature ${r.feature} is not generated for dataset ${ds.name} " +
+        s"(generated: ${FeatureGen.featureNames(ds.attrs).mkString(", ")})")
+    val conj = ds.ruleAttrs.map(r => features(r.feature) > r.threshold).reduce(_ && _)
     new FittedMatcher {
-      def scores(pairs: DataFrame): DataFrame = {
-        val withF = FeatureGen.addFeatures(pairs, attrs)
-        val conj  = rules.map(r => col(r.feature) > r.threshold).reduce(_ && _)
-        withF
-          .withColumn("score", when(conj, 1.0).otherwise(0.0))
-          .drop(FeatureGen.featureNames(attrs): _*)
-      }
+      def scores(pairs: DataFrame): DataFrame = pairs.withColumn("score", when(conj, 1.0).otherwise(0.0))
     }
   }
 }

@@ -1,8 +1,6 @@
 package repro.matchers
 
 import org.apache.spark.ml.classification.LogisticRegression
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.functions.vector_to_array
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -18,51 +16,42 @@ import repro.core._
   * to cluster on) or whose pair count exceeds ``maxPairs`` — the paper's
   * "did not scale for FacultyMatch, NoFlyCompas, Shoes and Cameras".
   */
-final case class DedupeMatcher(maxPairs: Long = 20000) extends Matcher {
+final case class DedupeMatcher(maxPairs: Long = 20000) extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "Dedupe"
-  val kind: MatcherKind = MatcherKind.NonNeural
 
-  def fit(ds: EMDataset): FittedMatcher = {
+  override def fit(ds: EMDataset): FittedMatcher = {
     if (ds.attrs.size == 1 && ds.attrs.head.kind == AttrKind.LongText)
       throw new MatcherNotScalable(s"Dedupe does not handle textual dataset ${ds.name}")
     val nPairs = ds.train.count() + ds.test.count()
     if (nPairs > maxPairs)
       throw new MatcherNotScalable(s"Dedupe does not scale to ${ds.name} ($nPairs pairs)")
+    super.fit(ds)
+  }
 
-    val attrs  = ds.attrs
-    val fnames = FeatureGen.featureNames(attrs)
-    val asm    = new VectorAssembler().setInputCols(fnames.toArray).setOutputCol("features")
-    def prep(df: DataFrame): DataFrame = asm.transform(FeatureGen.addFeatures(df, attrs))
-
-    val model = new LogisticRegression()
+  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+    FeatureMatcher.probScorer(new LogisticRegression()
       .setLabelCol("label").setFeaturesCol("features")
       .setRegParam(0.01).setElasticNetParam(0.5).setMaxIter(100)
-      .fit(prep(ds.train))
+      .fit(train))
 
-    new FittedMatcher {
-      def scores(pairs: DataFrame): DataFrame = {
-        // Computed once and read twice (edges below, then the caller). Not
-        // cache(): that pins a CacheManager entry for the whole session; the
-        // checkpoint's blocks are freed once the frame is unreachable.
-        val scored = model.transform(prep(pairs))
-          .withColumn("score", vector_to_array(col("probability"))(1))
-          .drop((fnames ++ Seq("features", "rawPrediction", "probability", "prediction")): _*)
-          .localCheckpoint()
+  override protected def postProcess(scored: DataFrame): DataFrame = {
+    // Read twice (edges below, then the caller). Not cache(): that pins a
+    // CacheManager entry for the whole session; the checkpoint's blocks are
+    // freed once the frame is unreachable.
+    val checkpointed = scored.localCheckpoint()
 
-        // Agglomerative step: promote every pair whose two records land in
-        // the same cluster of the confident pairs.
-        val edges = scored.filter(col("score") >= 0.5)
-          .select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1)))
-        val root = DedupeMatcher.clusters(edges.toSeq)
-        val sameCluster = udf { (l: Long, r: Long) =>
-          val c = root.get(('L', l)); c.isDefined && c == root.get(('R', r))
-        }
-        scored
-          .withColumn("score",
-            when(sameCluster(col("id1"), col("id2")), greatest(col("score"), lit(0.85)))
-            .otherwise(col("score")))
-      }
+    // Agglomerative step: promote every pair whose two records land in the
+    // same cluster of the confident pairs.
+    val edges = checkpointed.filter(col("score") >= 0.5)
+      .select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1)))
+    val root = DedupeMatcher.clusters(edges.toSeq)
+    val sameCluster = udf { (l: Long, r: Long) =>
+      val c = root.get(('L', l)); c.isDefined && c == root.get(('R', r))
     }
+    checkpointed
+      .withColumn("score",
+        when(sameCluster(col("id1"), col("id2")), greatest(col("score"), lit(0.85)))
+        .otherwise(col("score")))
   }
 }
 

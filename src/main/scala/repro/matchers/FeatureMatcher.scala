@@ -1,0 +1,80 @@
+package repro.matchers
+
+import org.apache.spark.ml.{Model, Transformer}
+import org.apache.spark.ml.feature.VectorAssembler
+import org.apache.spark.ml.functions.vector_to_array
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions._
+
+import repro.core._
+
+/** The shape of every trained matcher (§4.2, Table 3): per-pair features, a
+  * classifier over them, then an optional refinement of the scores (Dedupe's
+  * clustering, GNEM's one-to-set competition).
+  *
+  * One `fit` for all of them: assemble the features into a `features` vector,
+  * count both classes of the training split in one aggregation, fall back to
+  * the constant class when the split has only one, otherwise train the
+  * classifier. Scores are clipped to [0,1] and the feature columns dropped
+  * before `postProcess`.
+  */
+abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
+
+  /** Feature columns (name -> expression) over a pair frame. */
+  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] = FeatureGen.columns(attrs)
+
+  /** Trains on the assembled training split, which holds `nPos` matches and
+    * `nNeg` non-matches (both > 0); returns a scorer that adds a `score`
+    * column to an assembled frame.
+    */
+  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame
+
+  /** Refines the clipped scores of a whole frame; identity by default. */
+  protected def postProcess(scored: DataFrame): DataFrame = scored
+
+  def fit(ds: EMDataset): FittedMatcher = {
+    val fs  = features(ds.attrs)
+    val asm = new VectorAssembler().setInputCols(fs.map(_._1).toArray).setOutputCol("features")
+    def prep(df: DataFrame): DataFrame =
+      asm.transform(fs.foldLeft(df) { case (d, (n, c)) => d.withColumn(n, c) })
+
+    val train = prep(ds.train).cache()
+    val counts = train.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+    val (nPos, nNeg) = (counts.getOrElse(1, 0L), counts.getOrElse(0, 0L))
+    val scorer: DataFrame => DataFrame =
+      if (nPos == 0 || nNeg == 0) {
+        // Degenerate training split: fall back to the constant class.
+        val c = if (nPos > 0) 1.0 else 0.0
+        df => df.withColumn("score", lit(c))
+      } else classifier(train, nPos, nNeg)
+    train.unpersist()
+
+    new FittedMatcher {
+      def scores(pairs: DataFrame): DataFrame =
+        postProcess(scorer(prep(pairs))
+          .withColumn("score", least(greatest(col("score"), lit(0.0)), lit(1.0)))
+          .drop((fs.map(_._1) :+ "features"): _*))
+    }
+  }
+}
+
+object FeatureMatcher {
+
+  /** score = P(match) from a probabilistic classifier's probability vector. */
+  def probScorer(model: Model[_] with Transformer): DataFrame => DataFrame =
+    df => model.transform(df)
+      .withColumn("score", vector_to_array(col("probability"))(1))
+      .drop("rawPrediction", "probability", "prediction")
+
+  /** Damped class balance: the weight of a positive, sqrt(nNeg / nPos) capped
+    * at `cap`. Full balance makes every matcher FP-happy at τ=0.5 under EM's
+    * O(n) class imbalance; the square root mirrors the partial rebalancing
+    * of mini-batch training.
+    */
+  def sqrtBalance(nPos: Long, nNeg: Long, cap: Double): Double =
+    math.min(cap, math.sqrt(nNeg.toDouble / nPos))
+
+  /** `train` with a weight column `w`: `w` on matches, 1 on non-matches. */
+  def weighted(train: DataFrame, w: Double): DataFrame =
+    train.withColumn("w", when(col("label") === 1, w).otherwise(1.0))
+}

@@ -1,13 +1,14 @@
 package repro.matchers.neural
 
+import org.apache.spark.ml.attribute.AttributeGroup
 import org.apache.spark.ml.classification.{LogisticRegression, MultilayerPerceptronClassifier}
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.functions.vector_to_array
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.core._
+import repro.matchers.FeatureMatcher
+import repro.matchers.FeatureMatcher._
 
 /** The five neural matchers (§4.2.2, Table 3), reduced to their inductive
   * biases over the [[TextEncoder]] "pretrained" embedding space (see
@@ -23,70 +24,26 @@ import repro.core._
   *  - GnemSim: pairwise scores refined one-to-set over candidates that share
   *    a left record (graph propagation).
   */
-abstract class NeuralMatcherBase extends Matcher {
-  val kind: MatcherKind = MatcherKind.Neural
-
-  import NeuralMatcherBase._
-
-  /** Feature columns (name -> expression) over a pair frame. */
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)]
-
-  /** Balanced class weights: neural EM trainers sample balanced mini-batches
-    * under EM's O(n) class imbalance; the weight column is the MLlib
-    * equivalent. Weight of a positive = nNeg/nPos (capped).
-    */
-  protected def withBalancedWeight(df: DataFrame): DataFrame = {
-    val nPos = math.max(1L, df.filter("label = 1").count())
-    val nNeg = math.max(1L, df.filter("label = 0").count())
-    // sqrt damping: full balance makes every matcher FP-happy at τ=0.5;
-    // the square root mirrors the partial rebalancing of mini-batch training.
-    val w = math.min(12.0, math.sqrt(nNeg.toDouble / nPos))
-    df.withColumn("w", when(col("label") === 1, w).otherwise(1.0))
-  }
+abstract class NeuralMatcherBase extends FeatureMatcher(MatcherKind.Neural) {
 
   /** L2 strength of the default LR head; MCAN overrides it. */
   protected val regParam: Double = 0.001
 
-  /** Trains the downstream classifier on an assembled frame. */
-  protected def train(assembled: DataFrame, nFeatures: Int): DataFrame => DataFrame =
+  /** The default head: logistic regression with damped balanced class
+    * weights (cap 12). Neural EM trainers sample balanced mini-batches under
+    * EM's O(n) class imbalance; the weight column is the MLlib equivalent.
+    */
+  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     probScorer(new LogisticRegression()
       .setLabelCol("label").setFeaturesCol("features").setWeightCol("w").setMaxIter(40)
       .setRegParam(regParam)
-      .fit(withBalancedWeight(assembled)))
-
-  def fit(ds: EMDataset): FittedMatcher = {
-    val fs  = features(ds.attrs)
-    val asm = new VectorAssembler().setInputCols(fs.map(_._1).toArray).setOutputCol("features")
-    def prep(df: DataFrame): DataFrame =
-      asm.transform(fs.foldLeft(df) { case (d, (n, c)) => d.withColumn(n, c) })
-
-    val trainDf = prep(ds.train).cache()
-    val labels = trainDf.select("label").distinct().collect().map(_.getInt(0)).toSet
-    val scorer: DataFrame => DataFrame =
-      if (labels.size < 2) { val c = if (labels.contains(1)) 1.0 else 0.0; df => df.withColumn("score", lit(c)) }
-      else train(trainDf, fs.size)
-    trainDf.unpersist()
-
-    new FittedMatcher {
-      def scores(pairs: DataFrame): DataFrame =
-        postProcess(scorer(prep(pairs)).drop((fs.map(_._1) :+ "features"): _*))
-    }
-  }
-
-  /** Hook for one-to-set refinement (GnemSim). */
-  protected def postProcess(scored: DataFrame): DataFrame = scored
+      .fit(weighted(train, sqrtBalance(nPos, nNeg, 12.0))))
 }
 
 object NeuralMatcherBase {
   val embCosUdf  = udf(TextEncoder.textCos _)
   val alignUdf   = udf(TextEncoder.align _)
   val njacUdf    = udf(TextEncoder.normJaccard _)
-
-  def probScorer(model: org.apache.spark.ml.Model[_] with org.apache.spark.ml.Transformer)
-      : DataFrame => DataFrame =
-    df => model.transform(df)
-      .withColumn("score", vector_to_array(col("probability"))(1))
-      .drop("rawPrediction", "probability", "prediction")
 
   /** The Ditto-style serialization: all attribute values as one text block. */
   def serialized(attrs: Seq[AttrSpec], side: String): Column =
@@ -106,7 +63,7 @@ object NeuralMatcherBase {
 /** Ditto: pre-trained LM over a serialized record pair (structure-blind). */
 final case class DittoSim() extends NeuralMatcherBase {
   val name = "Ditto"
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
+  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     NeuralMatcherBase.globalFeatures(attrs)
 }
 
@@ -117,15 +74,15 @@ final case class DittoSim() extends NeuralMatcherBase {
 final case class DeepMatcherSim() extends NeuralMatcherBase {
   val name = "DeepMatcher"
   import NeuralMatcherBase._
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
+  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     perAttr(attrs, "cos", embCosUdf) ++ perAttr(attrs, "align", alignUdf) ++ globalFeatures(attrs)
-  override protected def train(assembled: DataFrame, nFeatures: Int): DataFrame => DataFrame = {
+  override protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     // MultilayerPerceptronClassifier has no weight column: emulate balanced
     // mini-batches by oversampling the positive class.
-    val nPos = math.max(1L, assembled.filter("label = 1").count())
-    val nNeg = assembled.filter("label = 0").count()
-    val k = math.min(12L, math.max(1L, math.sqrt(nNeg.toDouble / nPos).round)).toInt
-    val balanced = assembled
+    val k = math.max(1L, sqrtBalance(nPos, nNeg, 12.0).round).toInt
+    // The input width, from the assembler's metadata (no Spark job).
+    val nFeatures = AttributeGroup.fromStructField(train.schema("features")).size
+    val balanced = train
       .withColumn("dup",
         explode(array_repeat(lit(1), when(col("label") === 1, k).otherwise(1))))
       .drop("dup")
@@ -142,7 +99,7 @@ final case class DeepMatcherSim() extends NeuralMatcherBase {
 final case class HierMatcherSim() extends NeuralMatcherBase {
   val name = "HierMatcher"
   import NeuralMatcherBase._
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
+  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     perAttr(attrs, "align", alignUdf) :+ ("nf_g_align" -> alignUdf(serialized(attrs, "l"), serialized(attrs, "r")))
 }
 
@@ -152,7 +109,7 @@ final case class HierMatcherSim() extends NeuralMatcherBase {
 final case class McanSim() extends NeuralMatcherBase {
   val name = "MCAN"
   import NeuralMatcherBase._
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
+  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     perAttr(attrs, "align", alignUdf) ++ perAttr(attrs, "cos", embCosUdf) ++ globalFeatures(attrs)
   // Heavier L2: the many attention contexts are gated smoothly rather than
   // sharply, which keeps MCAN's boundary curvier (and occasionally FP-prone).
@@ -171,7 +128,7 @@ final case class McanSim() extends NeuralMatcherBase {
   */
 final case class GnemSim() extends NeuralMatcherBase {
   val name = "GNEM"
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
+  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
     NeuralMatcherBase.globalFeatures(attrs)
   override protected def postProcess(scored: DataFrame): DataFrame = {
     // Winner-take-most competition within each left record's candidate set:

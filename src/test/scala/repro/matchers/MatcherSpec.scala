@@ -131,6 +131,29 @@ class MatcherSpec extends SparkSpec {
     assert(scored.select("score").distinct().count() == 1)
   }
 
+  test("BooleanRuleMatcher rejects a rule on a feature that is not generated, at fit") {
+    val e = intercept[IllegalArgumentException] {
+      BooleanRuleMatcher().fit(toy.copy(ruleAttrs = Seq(MatchRule("f_nmae_lev", 0.5))))
+    }
+    assert(e.getMessage.contains("f_nmae_lev") && e.getMessage.contains("toy"))
+  }
+
+  private val trained = Matchers.all.filter(_.kind != MatcherKind.RuleBased)
+
+  for (m <- trained; label <- Seq(0, 1))
+    test(s"${m.name}: a single-class training split (label $label) gives the constant score $label") {
+      val oneClass = toy.copy(train = toy.train.filter(s"label = $label"))
+      val scores = m.fit(oneClass).scores(toy.test).select("score").distinct().collect().map(_.getDouble(0))
+      assert(scores.toSeq == Seq(label.toDouble))
+    }
+
+  for (m <- trained)
+    test(s"${m.name}: fitting and scoring leave no cached frame behind") {
+      spark.catalog.clearCache()
+      assert(m.fit(toy).scores(toy.test).count() == toy.test.count())
+      assert(spark.sharedState.cacheManager.isEmpty)
+    }
+
   test("GNEM suppresses non-best candidates within a left record's set") {
     val rows = Seq(
       PairRow(1, 10, Seq("alpha miller"), Seq("alpha miller"), Seq("g"), Seq("g"), 1),
