@@ -13,7 +13,7 @@ class Table4Bench extends SparkSpec {
     sb ++= f"${"Name"}%-15s ${"Train"}%8s ${"Test"}%8s ${"%Pos"}%7s ${"#Attr"}%6s  Sens. Attr%n"
     for (r <- rows)
       sb ++= f"${r.dataset}%-15s ${r.train}%8d ${r.test}%8d ${r.posPct}%6.2f%% ${r.nAttrs}%6d  ${r.sensAttr}%n"
-    println(sb.toString)
+    Rendered.show("Table4", sb.toString)
     // Class-imbalance ordering from the paper's Table 4 must hold.
     val byName = rows.map(r => r.dataset -> r).toMap
     assert(byName("FacultyMatch").posPct < 2.0)

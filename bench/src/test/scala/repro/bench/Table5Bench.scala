@@ -14,7 +14,7 @@ class Table5Bench extends SparkSpec {
   private lazy val rows = Tables.table5(spark)
 
   test("render Table 5") {
-    println(Tables.renderSocial("Table 5: NoFlyCompas", "TPR", "FDR",
+    Rendered.show("Table5", Tables.renderSocial("Table 5: NoFlyCompas", "TPR", "FDR",
       "Afr", "Cauc", rows))
   }
 

@@ -15,7 +15,7 @@ class Table6Bench extends SparkSpec {
   private lazy val rows = Tables.table6(spark)
 
   test("render Table 6") {
-    println(Tables.renderSocial("Table 6: FacultyMatch", "TPR", "PPV",
+    Rendered.show("Table6", Tables.renderSocial("Table 6: FacultyMatch", "TPR", "PPV",
       "cn", "de", rows))
   }
 

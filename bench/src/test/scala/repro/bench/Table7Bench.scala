@@ -36,7 +36,7 @@ class Table7Bench extends SparkSpec {
         sb ++= f"%n"
       }
     }
-    println(sb.toString)
+    Rendered.show("Table7", sb.toString)
   }
 
   test("shape: the rule-based matcher has zero threshold sensitivity (binary scores)") {

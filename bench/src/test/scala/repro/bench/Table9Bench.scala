@@ -30,7 +30,7 @@ class Table9Bench extends SparkSpec {
       }
       sb ++= f"%n"
     }
-    println(sb.toString)
+    Rendered.show("Table9", sb.toString)
   }
 
   test("shape: non-neural matchers fail on textual data (F-1 near zero)") {

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** String/numeric similarity measures used by rule-based matching and by
   * Magellan-style feature generation (§4.1).
   *
@@ -11,15 +8,12 @@ import org.apache.spark.sql.functions._
   * evidence of a match for that attribute. This makes dirty datasets
   * genuinely harder for feature-based matchers, as the paper observes.
   *
-  * Plain-Scala implementations live in the companion so they are testable
-  * without Spark and reusable from the neural encoder; the `Column`
-  * functions wrap them as UDFs (Levenshtein too: `udf(levenshteinSim _)`).
+  * Plain Scala, testable without Spark and reusable from the neural encoder.
+  * [[FeatureGen]] names the features and runs these functions inside its
+  * UDFs; the token measures also take a [[Text]], so the features of one
+  * long-text value share one tokenization.
   */
 object Similarity {
-
-  // ------------------------------------------------------------------
-  // plain-Scala implementations
-  // ------------------------------------------------------------------
 
   /** Normalized Levenshtein similarity: 1 - dist / max(len). */
   def levenshteinSim(a: String, b: String): Double = {
@@ -100,28 +94,42 @@ object Similarity {
   }
 
   /** Jaccard similarity over word-token sets. */
-  def tokenJaccard(a: String, b: String): Double = {
-    if (a == null || b == null) return 0.0
-    val sa = Tokenize.wordSet(a); val sb = Tokenize.wordSet(b)
-    if (sa.isEmpty && sb.isEmpty) return 1.0
-    if (sa.isEmpty || sb.isEmpty) return 0.0
-    sa.intersect(sb).size.toDouble / sa.union(sb).size
-  }
+  def tokenJaccard(a: String, b: String): Double = new Text(a).jaccard(new Text(b))
 
   /** Overlap coefficient over word-token sets: |A∩B| / min(|A|,|B|). */
-  def overlapCoeff(a: String, b: String): Double = {
-    if (a == null || b == null) return 0.0
-    val sa = Tokenize.wordSet(a); val sb = Tokenize.wordSet(b)
-    if (sa.isEmpty && sb.isEmpty) return 1.0
-    if (sa.isEmpty || sb.isEmpty) return 0.0
-    sa.intersect(sb).size.toDouble / math.min(sa.size, sb.size)
-  }
+  def overlapCoeff(a: String, b: String): Double = new Text(a).overlap(new Text(b))
 
   /** TF cosine over word tokens. */
-  def tfCosine(a: String, b: String): Double = {
-    if (a == null || b == null) return 0.0
-    if (Tokenize.words(a).isEmpty && Tokenize.words(b).isEmpty) return 1.0
-    Tokenize.cosine(Tokenize.tf(a), Tokenize.tf(b))
+  def tfCosine(a: String, b: String): Double = new Text(a).cosine(new Text(b))
+
+  /** A value and its word tokens, tokenized on first use and then shared by
+    * every token measure of the value. The String measures above build one
+    * per call; [[FeatureGen]] builds one per value of a pair, so a long-text
+    * value is tokenized once for its three token features.
+    */
+  final class Text(val raw: String) {
+    lazy val words: Array[String] = Tokenize.words(raw)
+    lazy val wordSet: Set[String] = words.toSet
+
+    /** [[tokenJaccard]] of this and `o`. */
+    def jaccard(o: Text): Double =
+      if (raw == null || o.raw == null) 0.0
+      else if (wordSet.isEmpty && o.wordSet.isEmpty) 1.0
+      else if (wordSet.isEmpty || o.wordSet.isEmpty) 0.0
+      else wordSet.intersect(o.wordSet).size.toDouble / wordSet.union(o.wordSet).size
+
+    /** [[overlapCoeff]] of this and `o`. */
+    def overlap(o: Text): Double =
+      if (raw == null || o.raw == null) 0.0
+      else if (wordSet.isEmpty && o.wordSet.isEmpty) 1.0
+      else if (wordSet.isEmpty || o.wordSet.isEmpty) 0.0
+      else wordSet.intersect(o.wordSet).size.toDouble / math.min(wordSet.size, o.wordSet.size)
+
+    /** [[tfCosine]] of this and `o`. */
+    def cosine(o: Text): Double =
+      if (raw == null || o.raw == null) 0.0
+      else if (words.isEmpty && o.words.isEmpty) 1.0
+      else Tokenize.cosine(Tokenize.tf(words), Tokenize.tf(o.words))
   }
 
   /** Exact equality (case/whitespace-insensitive), null -> 0. */
@@ -146,24 +154,4 @@ object Similarity {
     if (s == null) None
     else try Some(s.trim.toDouble)
     catch { case _: NumberFormatException => None }
-
-  // ------------------------------------------------------------------
-  // Column (Spark) wrappers
-  // ------------------------------------------------------------------
-
-  private val levSimUdf     = udf(levenshteinSim _)
-  private val jaroWinklUdf  = udf(jaroWinkler _)
-  private val jaccardUdf    = udf(tokenJaccard _)
-  private val overlapUdf    = udf(overlapCoeff _)
-  private val cosineUdf     = udf(tfCosine _)
-  private val exactUdf      = udf(exactSim _)
-  private val numericUdf    = udf(numericSim _)
-
-  def levSim(a: Column, b: Column): Column      = levSimUdf(a, b)
-  def jaroWinklerSim(a: Column, b: Column): Column = jaroWinklUdf(a, b)
-  def jaccardSim(a: Column, b: Column): Column  = jaccardUdf(a, b)
-  def overlapSim(a: Column, b: Column): Column  = overlapUdf(a, b)
-  def cosineSim(a: Column, b: Column): Column   = cosineUdf(a, b)
-  def exact(a: Column, b: Column): Column       = exactUdf(a, b)
-  def numSim(a: Column, b: Column): Column      = numericUdf(a, b)
 }

@@ -24,8 +24,11 @@ object Tokenize {
   }
 
   /** Term-frequency map of word tokens. */
-  def tf(s: String): Map[String, Int] =
-    words(s).groupBy(identity).map { case (t, g) => (t, g.length) }
+  def tf(s: String): Map[String, Int] = tf(words(s))
+
+  /** Term-frequency map of a token array. */
+  def tf(tokens: Array[String]): Map[String, Int] =
+    tokens.groupBy(identity).map { case (t, g) => (t, g.length) }
 
   /** Cosine similarity between two term-frequency maps. 0 when either empty. */
   def cosine(a: Map[String, Int], b: Map[String, Int]): Double = {

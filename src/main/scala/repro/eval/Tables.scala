@@ -1,6 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{coalesce, col, count, lit, sum}
 
 import repro.core._
 import repro.data.{EMBench, Social}
@@ -167,8 +168,12 @@ object Tables {
                                posPct: Double, nAttrs: Int, sensAttr: String)
 
   def overview(ds: EMDataset): OverviewRow = {
-    val tr = ds.train.count(); val te = ds.test.count()
-    val pos = ds.train.filter("label = 1").count() + ds.test.filter("label = 1").count()
-    OverviewRow(ds.name, tr, te, 100.0 * pos / (tr + te), ds.attrs.size, ds.sensitiveAttr)
+    // One aggregation per split: its pair count and its matches.
+    def counts(split: DataFrame): (Long, Long) = {
+      val r = split.agg(count(lit(1)), coalesce(sum(col("label")), lit(0L))).head()
+      (r.getLong(0), r.getLong(1))
+    }
+    val ((tr, trPos), (te, tePos)) = (counts(ds.train), counts(ds.test))
+    OverviewRow(ds.name, tr, te, 100.0 * (trPos + tePos) / (tr + te), ds.attrs.size, ds.sensitiveAttr)
   }
 }

@@ -22,7 +22,8 @@ final case class DedupeMatcher(maxPairs: Long = 20000) extends FeatureMatcher(Ma
   override def fit(ds: EMDataset): FittedMatcher = {
     if (ds.attrs.size == 1 && ds.attrs.head.kind == AttrKind.LongText)
       throw new MatcherNotScalable(s"Dedupe does not handle textual dataset ${ds.name}")
-    val nPairs = ds.train.count() + ds.test.count()
+    // Both splits in one job.
+    val nPairs = ds.train.union(ds.test).count()
     if (nPairs > maxPairs)
       throw new MatcherNotScalable(s"Dedupe does not scale to ${ds.name} ($nPairs pairs)")
     super.fit(ds)

@@ -1,7 +1,6 @@
 package repro.matchers
 
 import org.apache.spark.ml.{Model, Transformer}
-import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.functions.vector_to_array
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
@@ -12,20 +11,20 @@ import repro.core._
   * classifier over them, then an optional refinement of the scores (Dedupe's
   * clustering, GNEM's one-to-set competition).
   *
-  * One `fit` for all of them: assemble the features into a `features` vector,
+  * One `fit` for all of them: add the `features` vector (one UDF per pair),
   * count both classes of the training split in one aggregation, fall back to
   * the constant class when the split has only one, otherwise train the
-  * classifier. Scores are clipped to [0,1] and the feature columns dropped
-  * before `postProcess`.
+  * classifier. Scores are clipped to [0,1] and the vector dropped before
+  * `postProcess`.
   */
 abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
 
-  /** Feature columns (name -> expression) over a pair frame. */
-  protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] = FeatureGen.columns(attrs)
+  /** The feature vector of a pair frame, with its ML attribute metadata. */
+  protected[matchers] def features(attrs: Seq[AttrSpec]): Column = FeatureGen.vector(attrs)
 
-  /** Trains on the assembled training split, which holds `nPos` matches and
+  /** Trains on the featurized training split, which holds `nPos` matches and
     * `nNeg` non-matches (both > 0); returns a scorer that adds a `score`
-    * column to an assembled frame.
+    * column to a featurized frame.
     */
   protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame
 
@@ -33,10 +32,8 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
   protected def postProcess(scored: DataFrame): DataFrame = scored
 
   def fit(ds: EMDataset): FittedMatcher = {
-    val fs  = features(ds.attrs)
-    val asm = new VectorAssembler().setInputCols(fs.map(_._1).toArray).setOutputCol("features")
-    def prep(df: DataFrame): DataFrame =
-      asm.transform(fs.foldLeft(df) { case (d, (n, c)) => d.withColumn(n, c) })
+    val fs = features(ds.attrs)
+    def prep(df: DataFrame): DataFrame = df.withColumn("features", fs)
 
     val train = prep(ds.train).cache()
     val counts = train.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
@@ -53,7 +50,7 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
       def scores(pairs: DataFrame): DataFrame =
         postProcess(scorer(prep(pairs))
           .withColumn("score", least(greatest(col("score"), lit(0.0)), lit(1.0)))
-          .drop((fs.map(_._1) :+ "features"): _*))
+          .drop("features"))
     }
   }
 }

@@ -41,30 +41,41 @@ abstract class NeuralMatcherBase extends FeatureMatcher(MatcherKind.Neural) {
 }
 
 object NeuralMatcherBase {
-  val embCosUdf  = udf(TextEncoder.textCos _)
-  val alignUdf   = udf(TextEncoder.align _)
-  val njacUdf    = udf(TextEncoder.normJaccard _)
+  import TextEncoder.{align, normJaccard, textCos}
 
-  /** The Ditto-style serialization: all attribute values as one text block. */
-  def serialized(attrs: Seq[AttrSpec], side: String): Column =
-    concat_ws(" ", attrs.map(a => col(s"${side}_${a.name}")): _*)
+  /** One encoder similarity `fn` of one text per record: attribute `attr`'s
+    * value, or the Ditto-style serialization (all attribute values as one
+    * text block) when `attr` is None.
+    */
+  final case class Feature(name: String, fn: (String, String) => Double, attr: Option[String])
 
   /** Whole-record (structure-blind) features. */
-  def globalFeatures(attrs: Seq[AttrSpec]): Seq[(String, Column)] = {
-    val l = serialized(attrs, "l"); val r = serialized(attrs, "r")
-    Seq("nf_g_cos" -> embCosUdf(l, r), "nf_g_align" -> alignUdf(l, r), "nf_g_jac" -> njacUdf(l, r))
-  }
+  val global: Seq[Feature] =
+    Seq(Feature("nf_g_cos", textCos, None), Feature("nf_g_align", align, None), Feature("nf_g_jac", normJaccard, None))
 
-  def perAttr(attrs: Seq[AttrSpec], fn: String, u: org.apache.spark.sql.expressions.UserDefinedFunction)
-      : Seq[(String, Column)] =
-    attrs.map(a => s"nf_${fn}_${a.name}" -> u(col(s"l_${a.name}"), col(s"r_${a.name}")))
+  def perAttr(attrs: Seq[AttrSpec], sim: String, fn: (String, String) => Double): Seq[Feature] =
+    attrs.map(a => Feature(s"nf_${sim}_${a.name}", fn, Some(a.name)))
+
+  /** The vector of `features`, from one kernel call per pair. The
+    * serialization is `concat_ws(" ")`'s: the non-null values joined by
+    * spaces.
+    */
+  def vector(attrs: Seq[AttrSpec], features: Seq[Feature]): Column = {
+    val fs = features.toArray
+    // The index in `attrs` of the text each feature reads; -1 for the serialization.
+    val at = fs.map(_.attr.fold(-1)(a => attrs.indexWhere(_.name == a)))
+    FeatureGen.pairVector(attrs, features.map(_.name)) { (l, r) =>
+      def text(side: Seq[String], i: Int): String = if (i < 0) side.filter(_ != null).mkString(" ") else side(i)
+      Array.tabulate(fs.length)(k => fs(k).fn(text(l, at(k)), text(r, at(k))))
+    }
+  }
 }
 
 /** Ditto: pre-trained LM over a serialized record pair (structure-blind). */
 final case class DittoSim() extends NeuralMatcherBase {
   val name = "Ditto"
-  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
-    NeuralMatcherBase.globalFeatures(attrs)
+  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    NeuralMatcherBase.vector(attrs, NeuralMatcherBase.global)
 }
 
 /** DeepMatcher (hybrid): per-attribute embedding composition plus the
@@ -74,13 +85,13 @@ final case class DittoSim() extends NeuralMatcherBase {
 final case class DeepMatcherSim() extends NeuralMatcherBase {
   val name = "DeepMatcher"
   import NeuralMatcherBase._
-  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
-    perAttr(attrs, "cos", embCosUdf) ++ perAttr(attrs, "align", alignUdf) ++ globalFeatures(attrs)
+  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    vector(attrs, perAttr(attrs, "cos", TextEncoder.textCos) ++ perAttr(attrs, "align", TextEncoder.align) ++ global)
   override protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     // MultilayerPerceptronClassifier has no weight column: emulate balanced
     // mini-batches by oversampling the positive class.
     val k = math.max(1L, sqrtBalance(nPos, nNeg, 12.0).round).toInt
-    // The input width, from the assembler's metadata (no Spark job).
+    // The input width, from the vector's ML attribute metadata (no Spark job).
     val nFeatures = AttributeGroup.fromStructField(train.schema("features")).size
     val balanced = train
       .withColumn("dup",
@@ -99,8 +110,8 @@ final case class DeepMatcherSim() extends NeuralMatcherBase {
 final case class HierMatcherSim() extends NeuralMatcherBase {
   val name = "HierMatcher"
   import NeuralMatcherBase._
-  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
-    perAttr(attrs, "align", alignUdf) :+ ("nf_g_align" -> alignUdf(serialized(attrs, "l"), serialized(attrs, "r")))
+  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    vector(attrs, perAttr(attrs, "align", TextEncoder.align) :+ global(1))
 }
 
 /** MCAN: multi-context attention — per-attribute, global, and token contexts
@@ -109,8 +120,8 @@ final case class HierMatcherSim() extends NeuralMatcherBase {
 final case class McanSim() extends NeuralMatcherBase {
   val name = "MCAN"
   import NeuralMatcherBase._
-  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
-    perAttr(attrs, "align", alignUdf) ++ perAttr(attrs, "cos", embCosUdf) ++ globalFeatures(attrs)
+  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    vector(attrs, perAttr(attrs, "align", TextEncoder.align) ++ perAttr(attrs, "cos", TextEncoder.textCos) ++ global)
   // Heavier L2: the many attention contexts are gated smoothly rather than
   // sharply, which keeps MCAN's boundary curvier (and occasionally FP-prone).
   override protected val regParam: Double = 0.02
@@ -128,8 +139,8 @@ final case class McanSim() extends NeuralMatcherBase {
   */
 final case class GnemSim() extends NeuralMatcherBase {
   val name = "GNEM"
-  override protected def features(attrs: Seq[AttrSpec]): Seq[(String, Column)] =
-    NeuralMatcherBase.globalFeatures(attrs)
+  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    NeuralMatcherBase.vector(attrs, NeuralMatcherBase.global)
   override protected def postProcess(scored: DataFrame): DataFrame = {
     // Winner-take-most competition within each left record's candidate set:
     // the top-scoring candidate keeps its score, the rest are suppressed.

@@ -1,23 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.data.GenUtil
-import repro.data.GenUtil.PairRow
+import repro.AssembledCheck
 
-class FeatureGenSpec extends SparkSpec {
-
-  private val attrs = Seq(
-    AttrSpec("name", AttrKind.ShortStr),
-    AttrSpec("title", AttrKind.LongText),
-    AttrSpec("year", AttrKind.Numeric))
-
-  private lazy val pairs = GenUtil.pairsDF(spark, attrs.map(_.name), Seq(
-    PairRow(1, 2, Seq("brown", "efficient query processing", "2001"),
-                  Seq("browne", "query processing efficient", "2001"), Seq("x"), Seq("x"), 1),
-    PairRow(3, 4, Seq("smith", "stream mining", "1999"),
-                  Seq("jones", "graph indexing", "2005"), Seq("x"), Seq("y"), 0),
-    PairRow(5, 6, Seq(null, "a", "1"), Seq("x", null, null), Seq("x"), Seq("y"), 0),
-  ))
+class FeatureGenSpec extends AssembledCheck {
 
   test("featureNames per kind") {
     assert(FeatureGen.featureNames(AttrSpec("a", AttrKind.ShortStr)) ==
@@ -60,5 +45,9 @@ class FeatureGenSpec extends SparkSpec {
       val v = r.getDouble(0)
       assert(v >= 0.0 && v <= 1.0 + 1e-9, s"$f = $v")
     }
+  }
+
+  test("vector equals the assembled per-feature columns on every row") {
+    for ((name, df, as) <- splits) assertAssembled(name, df, FeatureGen.vector(as), FeatureGen.columns(as))
   }
 }

@@ -80,6 +80,14 @@ class TablesSpec extends SparkSpec {
     assert(fits.get == 2)
   }
 
+  test("overview: one aggregation per split gives the row of a count per split and per split's matches") {
+    val ds = fresh()
+    val (tr, te) = (ds.train.count(), ds.test.count())
+    val pos = ds.train.filter("label = 1").count() + ds.test.filter("label = 1").count()
+    assert(Tables.overview(ds) ==
+      Tables.OverviewRow(ds.name, tr, te, 100.0 * pos / (tr + te), ds.attrs.size, ds.sensitiveAttr))
+  }
+
   test("every table picks its datasets from one list per session") {
     val all = Tables.allDatasets(spark)
     assert(Tables.allDatasets(spark) eq all)

@@ -1,5 +1,6 @@
 package repro.matchers
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -41,14 +42,20 @@ class MatcherSpec extends SparkSpec {
       ruleAttrs = Seq(MatchRule("f_name_lev", 0.5)))
   }
 
+  /** `m` fitted on `toy` and scoring its test split, fitted once per matcher
+    * for the tests below that only read the scores.
+    */
+  private val scoredToy = scala.collection.mutable.Map.empty[Matcher, DataFrame]
+  private def scoredBy(m: Matcher): DataFrame =
+    scoredToy.getOrElseUpdate(m, m.fit(toy).scores(toy.test))
+
   private def accuracyOf(m: Matcher): Double = {
-    val scored = m.fit(toy).scores(toy.test)
-    val c = ConfusionCounts.overall(scored, 0.5)
+    val c = ConfusionCounts.overall(scoredBy(m), 0.5)
     Audit.accuracy(c)
   }
 
   private def checkScores(m: Matcher): Unit = {
-    val scored = m.fit(toy).scores(toy.test)
+    val scored = scoredBy(m)
     assert(scored.columns.contains("score"))
     val mm = scored.agg(min("score"), max("score")).head()
     assert(mm.getDouble(0) >= 0.0 && mm.getDouble(1) <= 1.0 + 1e-9)
