@@ -1,10 +1,9 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.eval.Tables
 
 /** Table 4: overview of the eight datasets at repo scale. */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends TableBench("Table4") {
 
   test("render Table 4") {
     val rows = Tables.allDatasets(spark).map(Tables.overview)

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core.MatcherKind
 import repro.eval.Tables
 
@@ -9,7 +8,7 @@ import repro.eval.Tables
   * African-American group (the over-representation + common-surname
   * condition); rule-based matcher has very low precision.
   */
-class Table5Bench extends SparkSpec {
+class Table5Bench extends TableBench("Table5") {
 
   private lazy val rows = Tables.table5(spark)
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core.MatcherKind
 import repro.eval.Tables
 
@@ -10,7 +9,7 @@ import repro.eval.Tables
   * accurate with only mild PPV gaps, except NBMatcher (and LinRegMatcher)
   * whose cn PPV collapses.
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends TableBench("Table6") {
 
   private lazy val rows = Tables.table6(spark)
 

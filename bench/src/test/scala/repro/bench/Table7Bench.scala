@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core.MatcherKind
 import repro.eval.Tables
 import repro.matchers.neural.Matchers
@@ -12,7 +11,7 @@ import repro.matchers.neural.Matchers
   * zero sensitivity; non-neural sensitivity spikes on Cameras coincide with
   * uselessly low accuracy there.
   */
-class Table7Bench extends SparkSpec {
+class Table7Bench extends TableBench("Table7") {
 
   private lazy val datasets = Tables.table7Datasets(spark)
   private lazy val rows = datasets.flatMap(ds => Tables.sensitivity(ds))
@@ -23,15 +22,20 @@ class Table7Bench extends SparkSpec {
 
   test("render Table 7") {
     val matchers = rows.map(_.matcher).distinct
+    // Every column fits the longest matcher name and a two-space gap.
+    val width = matchers.map(_.length).max + 2
+    def cell(text: String): String = text.padTo(width, ' ')
     val sb = new StringBuilder
     for (measure <- Seq("TPRP", "PPVP")) {
       sb ++= f"%n== Table 7 ($measure sensitivity) ==%n"
-      sb ++= f"${"Dataset"}%-15s" + matchers.map(m => f"$m%-14s").mkString + f"%n"
+      sb ++= f"${"Dataset"}%-15s" + matchers.map(cell).mkString + f"%n"
       for (d <- datasets.map(_.name)) {
         sb ++= f"$d%-15s"
         for (m <- matchers) {
-          val (t, p) = sens(d, m)
-          sb ++= f"${if (measure == "TPRP") t else p}%-14.1f"
+          // A refused cell (Dedupe on Cameras) prints as `-`, as in Table 9.
+          val v = rows.find(r => r.dataset == d && r.matcher == m)
+            .map(r => if (measure == "TPRP") r.tprpSens else r.ppvpSens)
+          sb ++= cell(v.fold("-")(x => f"$x%.1f"))
         }
         sb ++= f"%n"
       }

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core.MatcherKind
 import repro.eval.Tables
 
@@ -8,7 +7,7 @@ import repro.eval.Tables
   * and F-1 of all 13 matchers across all 8 datasets. Prints the paper-layout
   * matrix and asserts the qualitative shape the paper reports.
   */
-class Table9Bench extends SparkSpec {
+class Table9Bench extends TableBench("Table9") {
 
   private lazy val datasets = Tables.allDatasets(spark)
   private lazy val rows = datasets.flatMap(ds => Tables.correctness(ds))

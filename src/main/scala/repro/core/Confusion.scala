@@ -23,9 +23,9 @@ object Lens {
 }
 
 /** The confusion cube of one scored frame: pair counts by (left group set,
-  * right group set, label, τ-bucket) from one Spark aggregation collected to
-  * the driver. Overall, lens, subgroup and per-τ counts are Scala projections
-  * of it (Appendix B: a pair's result counts for the groups of BOTH records).
+  * right group set, label, τ-bucket) from one [[Counts]] job. Overall, lens,
+  * subgroup and per-τ counts are Scala projections of it (Appendix B: a
+  * pair's result counts for the groups of BOTH records).
   *
   * Input schema: `g1 array<string>`, `g2 array<string>`, `label int`,
   * `score double`. A pair is a match at τ iff Spark's `score >= τ` holds.
@@ -68,13 +68,13 @@ object ConfusionCube {
     }
   }
 
-  /** One Spark aggregation over `scored` that serves every τ in `taus`. */
+  /** One count over `scored` that serves every τ in `taus`. */
   def apply(scored: DataFrame, taus: Seq[Double]): ConfusionCube = {
     val grid = taus.distinct.sorted(Ordering.Double.TotalOrdering).toIndexedSeq
     val bucket = grid.map(t => when(col("score") >= t, 1).otherwise(0)).foldLeft(lit(0))(_ + _)
-    val cells = scored.groupBy(col("g1"), col("g2"), col("label"), bucket).count().collect().map { r =>
+    val cells = Counts.by(scored, col("g1"), col("g2"), col("label"), bucket).map { case (r, n) =>
       Cell(r.getSeq[String](0), r.getSeq[String](1),
-        if (r.isNullAt(2)) None else Some(r.getInt(2)), r.getInt(3), r.getLong(4))
+        if (r.isNullAt(2)) None else Some(r.getInt(2)), r.getInt(3), n)
     }
     new ConfusionCube(grid, cells.toSeq)
   }

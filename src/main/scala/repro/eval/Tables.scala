@@ -1,7 +1,7 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{coalesce, col, count, lit, sum}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
 
 import repro.core._
 import repro.data.{EMBench, Social}
@@ -168,10 +168,10 @@ object Tables {
                                posPct: Double, nAttrs: Int, sensAttr: String)
 
   def overview(ds: EMDataset): OverviewRow = {
-    // One aggregation per split: its pair count and its matches.
+    // One count per split: its pairs and its matches.
     def counts(split: DataFrame): (Long, Long) = {
-      val r = split.agg(count(lit(1)), coalesce(sum(col("label")), lit(0L))).head()
-      (r.getLong(0), r.getLong(1))
+      val byLabel = Counts.by(split, col("label"))
+      (byLabel.values.sum, byLabel.getOrElse(Row(1), 0L))
     }
     val ((tr, trPos), (te, tePos)) = (counts(ds.train), counts(ds.test))
     OverviewRow(ds.name, tr, te, 100.0 * (trPos + tePos) / (tr + te), ds.attrs.size, ds.sensitiveAttr)

@@ -23,13 +23,13 @@ final case class DedupeMatcher(maxPairs: Long = 20000) extends FeatureMatcher(Ma
     if (ds.attrs.size == 1 && ds.attrs.head.kind == AttrKind.LongText)
       throw new MatcherNotScalable(s"Dedupe does not handle textual dataset ${ds.name}")
     // Both splits in one job.
-    val nPairs = ds.train.union(ds.test).count()
+    val nPairs = Counts.by(ds.train.union(ds.test)).values.sum
     if (nPairs > maxPairs)
       throw new MatcherNotScalable(s"Dedupe does not scale to ${ds.name} ($nPairs pairs)")
     super.fit(ds)
   }
 
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     FeatureMatcher.probScorer(new LogisticRegression()
       .setLabelCol("label").setFeaturesCol("features")
       .setRegParam(0.01).setElasticNetParam(0.5).setMaxIter(100)

@@ -1,8 +1,9 @@
 package repro.matchers
 
 import org.apache.spark.ml.{Model, Transformer}
+import org.apache.spark.ml.attribute.NominalAttribute
 import org.apache.spark.ml.functions.vector_to_array
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.core._
@@ -12,7 +13,8 @@ import repro.core._
   * clustering, GNEM's one-to-set competition).
   *
   * One `fit` for all of them: add the `features` vector (one UDF per pair),
-  * count both classes of the training split in one aggregation, fall back to
+  * mark the training `label` binary, count both classes of the cached
+  * training split (the one [[Counts]] job also fills the cache), fall back to
   * the constant class when the split has only one, otherwise train the
   * classifier. Scores are clipped to [0,1] and the vector dropped before
   * `postProcess`.
@@ -26,7 +28,7 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
     * `nNeg` non-matches (both > 0); returns a scorer that adds a `score`
     * column to a featurized frame.
     */
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame
 
   /** Refines the clipped scores of a whole frame; identity by default. */
   protected def postProcess(scored: DataFrame): DataFrame = scored
@@ -35,9 +37,9 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
     val fs = features(ds.attrs)
     def prep(df: DataFrame): DataFrame = df.withColumn("features", fs)
 
-    val train = prep(ds.train).cache()
-    val counts = train.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val (nPos, nNeg) = (counts.getOrElse(1, 0L), counts.getOrElse(0, 0L))
+    val train = FeatureMatcher.binaryLabel(prep(ds.train)).cache()
+    val counts = Counts.by(train, col("label"))
+    val (nPos, nNeg) = (counts.getOrElse(Row(1), 0L), counts.getOrElse(Row(0), 0L))
     val scorer: DataFrame => DataFrame =
       if (nPos == 0 || nNeg == 0) {
         // Degenerate training split: fall back to the constant class.
@@ -56,6 +58,13 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
 }
 
 object FeatureMatcher {
+
+  /** `train` with binary nominal metadata on its 0/1 `label`: MLlib's
+    * classifiers read the class count from the schema instead of running a
+    * job for the largest label.
+    */
+  private[matchers] def binaryLabel(train: DataFrame): DataFrame =
+    train.withColumn("label", col("label").as("label", NominalAttribute.defaultAttr.withNumValues(2).toMetadata()))
 
   /** score = P(match) from a probabilistic classifier's probability vector. */
   def probScorer(model: Model[_] with Transformer): DataFrame => DataFrame =

@@ -17,7 +17,7 @@ import FeatureMatcher._
 /** Decision-tree matcher (Magellan DTMatcher). */
 final case class DTMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "DTMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     // maxBins 128: with EM's extreme class imbalance the discriminating
     // high-similarity range must not be lumped into one coarse quantile bin
     // (sklearn, which Magellan uses, considers every threshold).
@@ -29,7 +29,7 @@ final case class DTMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
 /** Random-forest matcher (Magellan RFMatcher). */
 final case class RFMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "RFMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     probScorer(new RandomForestClassifier()
       .setLabelCol("label").setFeaturesCol("features")
       .setNumTrees(20).setMaxDepth(6).setMaxBins(128).setSeed(0)
@@ -39,7 +39,7 @@ final case class RFMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
 /** Logistic-regression matcher (Magellan LogRegMatcher). */
 final case class LogRegMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "LogRegMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     probScorer(new LogisticRegression()
       .setLabelCol("label").setFeaturesCol("features").setMaxIter(100)
       .fit(train))
@@ -51,7 +51,7 @@ final case class LogRegMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   */
 final case class LinRegMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "LinRegMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     // Mild sqrt class weighting (cap 10): plain least squares under EM's
     // class imbalance regresses every prediction to ~0; the square-root
     // weight yields the partially-working, badly-calibrated matcher the
@@ -68,7 +68,7 @@ final case class LinRegMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   */
 final case class NBMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "NBMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     probScorer(new NaiveBayes()
       .setLabelCol("label").setFeaturesCol("features").setModelType("gaussian")
       .fit(train))
@@ -80,7 +80,7 @@ final case class NBMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   */
 final case class SVMMatcher() extends FeatureMatcher(MatcherKind.NonNeural) {
   val name = "SVMMatcher"
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     val model = new LinearSVC()
       .setLabelCol("label").setFeaturesCol("features").setMaxIter(60)
       .fit(train)

@@ -33,7 +33,7 @@ abstract class NeuralMatcherBase extends FeatureMatcher(MatcherKind.Neural) {
     * weights (cap 12). Neural EM trainers sample balanced mini-batches under
     * EM's O(n) class imbalance; the weight column is the MLlib equivalent.
     */
-  protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
+  protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
     probScorer(new LogisticRegression()
       .setLabelCol("label").setFeaturesCol("features").setWeightCol("w").setMaxIter(40)
       .setRegParam(regParam)
@@ -87,7 +87,7 @@ final case class DeepMatcherSim() extends NeuralMatcherBase {
   import NeuralMatcherBase._
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
     vector(attrs, perAttr(attrs, "cos", TextEncoder.textCos) ++ perAttr(attrs, "align", TextEncoder.align) ++ global)
-  override protected def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
+  override protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     // MultilayerPerceptronClassifier has no weight column: emulate balanced
     // mini-batches by oversampling the positive class.
     val k = math.max(1L, sqrtBalance(nPos, nNeg, 12.0).round).toInt

@@ -1,6 +1,7 @@
 package repro.matchers
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.ml.attribute.{Attribute, NominalAttribute}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -159,6 +160,26 @@ class MatcherSpec extends SparkSpec {
       spark.catalog.clearCache()
       assert(m.fit(toy).scores(toy.test).count() == toy.test.count())
       assert(spark.sharedState.cacheManager.isEmpty)
+    }
+
+  // The binary `label` metadata of the training frame only spares MLlib the
+  // job that finds the class count: each estimator's test scores are the same
+  // bits with and without it.
+  for (m <- Seq(DTMatcher(), RFMatcher(), NBMatcher(), LogRegMatcher(), SVMMatcher(), DedupeMatcher(),
+                DeepMatcherSim()))
+    test(s"${m.name}: the binary label metadata leaves its test scores bit-identical") {
+      val fs = m.features(toy.attrs)
+      val train = toy.train.withColumn("features", fs)
+      val marked = FeatureMatcher.binaryLabel(train)
+      assert((Attribute.fromStructField(marked.schema("label")) match {
+        case a: NominalAttribute => a.getNumValues
+        case _                   => None
+      }).contains(2))
+      val byLabel = Counts.by(train, col("label"))
+      def bits(tr: DataFrame): Seq[Long] =
+        m.classifier(tr, byLabel(Row(1)), byLabel(Row(0)))(toy.test.withColumn("features", fs))
+          .select("score").collect().toSeq.map(r => java.lang.Double.doubleToRawLongBits(r.getDouble(0)))
+      assert(bits(marked) == bits(train))
     }
 
   test("GNEM suppresses non-best candidates within a left record's set") {
