@@ -22,10 +22,7 @@ object Audit {
       divDisparity: Option[Double],
       support: Long,
   ) {
-    def unfair(tau: Double, byDiv: Boolean = false): Boolean = {
-      val d = if (byDiv) divDisparity else subDisparity
-      d.exists(_ > tau)
-    }
+    def unfair(tau: Double): Boolean = subDisparity.exists(_ > tau)
   }
 
   final case class Result(tauMatch: Double, lens: Lens, cells: Seq[Cell]) {

@@ -93,8 +93,9 @@ object Fairness {
     case LowerBetter  => group - ref
   }
 
-  def divVsRef(group: Double, ref: Double, dir: Direction): Double = dir match {
-    case HigherBetter => if (group == 0) 0.0 else (ref - group) / group
-    case LowerBetter  => if (ref == 0) 0.0 else (group - ref) / ref
+  /** ±∞ when the lower probability is 0 and the other is not; 0 when both are 0. */
+  def divVsRef(group: Double, ref: Double, dir: Direction): Double = {
+    val (sub, low) = (subVsRef(group, ref, dir), if (dir == HigherBetter) group else ref)
+    if (sub == 0 && low == 0) 0.0 else sub / low
   }
 }

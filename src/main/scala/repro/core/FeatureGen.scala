@@ -1,28 +1,42 @@
 package repro.core
 
 import org.apache.spark.ml.attribute.{Attribute, AttributeGroup, NumericAttribute}
+import org.apache.spark.ml.functions.vector_to_array
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions.{array, col, udf}
 
 import Similarity.Text
 
-/** Magellan-style automatic feature generation (§5.1.4).
+/** The one feature path of every matcher: Magellan-style automatic feature
+  * generation (§5.1.4) and the one UDF that computes any matcher's features.
   *
-  * For each attribute of the record schema, generates similarity features
-  * between the left (``l_<attr>``) and right (``r_<attr>``) values, chosen by
-  * the attribute's kind — mirroring Magellan's type-aware feature generator:
+  * For each attribute of the record schema, [[magellan]] generates similarity
+  * features between the left (``l_<attr>``) and right (``r_<attr>``) values,
+  * chosen by the attribute's kind — mirroring Magellan's type-aware feature
+  * generator:
   *
   *  - ShortStr: exact, normalized Levenshtein, Jaro-Winkler
   *  - LongText: token Jaccard, TF cosine, overlap coefficient, Levenshtein
   *  - Numeric:  exact, relative numeric similarity
   *
   * Features are named ``f_<attr>_<sim>`` so rules ([[MatchRule]]) and
-  * model-inspection code can refer to them by name. The trained matchers
-  * read them as one [[vector]] column; [[columns]] is the same features one
-  * column each.
+  * model-inspection code can refer to them by name. The neural matchers list
+  * their encoder similarities as [[Feature]]s too; every matcher reads its
+  * features as one [[vector]] column, and [[addFeatures]] is the same vector
+  * one named column per feature.
   */
 object FeatureGen {
+
+  /** One feature of a pair: `fn` of the two records' texts of attribute
+    * `attr` (its index in the schema), or of their serializations (every
+    * non-null attribute value joined by a space, as `concat_ws(" ")` joins
+    * them) when `attr` is None.
+    */
+  final case class Feature(name: String, attr: Option[Int], fn: (Text, Text) => Double)
+
+  /** A similarity of two strings, applied to two texts' raw values. */
+  def raw(f: (String, String) => Double): (Text, Text) => Double = (a, b) => f(a.raw, b.raw)
 
   /** A kind's features in order: (sim name, similarity of one value pair).
     * Every feature of a value reads the same [[Similarity.Text]], so a
@@ -30,7 +44,6 @@ object FeatureGen {
     */
   private def sims(kind: AttrKind): Seq[(String, (Text, Text) => Double)] = {
     import Similarity._
-    def raw(f: (String, String) => Double): (Text, Text) => Double = (a, b) => f(a.raw, b.raw)
     kind match {
       case AttrKind.ShortStr => Seq(("exact", raw(exactSim)), ("lev", raw(levenshteinSim)), ("jw", raw(jaroWinkler)))
       case AttrKind.LongText =>
@@ -39,54 +52,43 @@ object FeatureGen {
     }
   }
 
-  private def name(a: AttrSpec, sim: String): String = s"f_${a.name}_$sim"
-
-  /** Every generated feature of a schema as (name, expression over the
-    * ``l_<attr>``/``r_<attr>`` columns), one UDF each, in [[vector]] order.
-    */
-  def columns(attrs: Seq[AttrSpec]): Seq[(String, Column)] = attrs.flatMap { a =>
-    val (l, r) = (col(s"l_${a.name}"), col(s"r_${a.name}"))
-    sims(a.kind).map { case (s, f) =>
-      name(a, s) -> udf((x: String, y: String) => f(new Text(x), new Text(y))).apply(l, r)
-    }
+  /** Every generated Magellan feature of a schema, attribute by attribute. */
+  def magellan(attrs: Seq[AttrSpec]): Seq[Feature] = attrs.zipWithIndex.flatMap { case (a, i) =>
+    sims(a.kind).map { case (s, f) => Feature(s"f_${a.name}_$s", Some(i), f) }
   }
 
-  /** Names of the feature columns generated for one attribute. */
-  def featureNames(attr: AttrSpec): Seq[String] = featureNames(Seq(attr))
+  /** All Magellan feature names for a schema, in [[vector]] order. */
+  def featureNames(attrs: Seq[AttrSpec]): Seq[String] = magellan(attrs).map(_.name)
 
-  /** All feature names for a schema, in deterministic order. */
-  def featureNames(attrs: Seq[AttrSpec]): Seq[String] =
-    attrs.flatMap(a => sims(a.kind).map(s => name(a, s._1)))
-
-  /** Adds all generated feature columns to a pair DataFrame. */
-  def addFeatures(pairs: DataFrame, attrs: Seq[AttrSpec]): DataFrame =
-    columns(attrs).foldLeft(pairs) { case (df, (name, c)) => df.withColumn(name, c) }
-
-  /** Every generated feature of a pair as one vector column: the values of
-    * [[columns]], in order, from one UDF call per pair.
+  /** Adds every Magellan feature to a pair frame as its own named column:
+    * the [[vector]] computed once per row, then one column per name.
     */
-  def vector(attrs: Seq[AttrSpec]): Column = {
-    val fs = attrs.map(a => sims(a.kind).map(_._2).toArray).toArray
-    pairVector(attrs, featureNames(attrs)) { (l, r) =>
-      fs.indices.toArray.flatMap { i =>
-        val (a, b) = (new Text(l(i)), new Text(r(i)))
-        fs(i).map(_(a, b))
-      }
-    }
+  def addFeatures(pairs: DataFrame, attrs: Seq[AttrSpec]): DataFrame = {
+    val (v, fs) = ("__features", magellan(attrs))
+    pairs.withColumn(v, vector_to_array(vector(attrs, fs)))
+      .select(col("*") +: fs.zipWithIndex.map { case (f, i) => col(v)(i).as(f.name) }: _*)
+      .drop(v)
   }
 
-  /** A vector column named `features`: `kernel` maps a pair's
-    * ``l_<attr>`` and ``r_<attr>`` values, in `attrs` order, to the features
-    * `names`. Dense or sparse by `compressed`, and with one numeric ML
-    * attribute per name, as MLlib's assembler of one column per feature
-    * would give, so MLlib reads the width from the schema without a job.
+  /** The values of `features`, in order, as one vector column named
+    * `features`, from one UDF call per pair over its ``l_<attr>`` and
+    * ``r_<attr>`` values. Each record gets one [[Text]] per attribute value
+    * and at most one serialization. Dense or sparse by `compressed`, and
+    * with one numeric ML attribute per feature, as MLlib's assembler of one
+    * column per feature would give, so MLlib reads the width from the schema
+    * without a job.
     */
-  def pairVector(attrs: Seq[AttrSpec], names: Seq[String])(
-      kernel: (Seq[String], Seq[String]) => Array[Double]): Column = {
-    val f = udf((l: Seq[String], r: Seq[String]) => Vectors.dense(kernel(l, r)).compressed)
+  def vector(attrs: Seq[AttrSpec], features: Seq[Feature]): Column = {
+    val fs = features.toArray
+    def serialized(values: Seq[String]): Text = new Text(values.filter(_ != null).mkString(" "))
+    val kernel = udf { (l: Seq[String], r: Seq[String]) =>
+      val (a, b) = (l.map(new Text(_)), r.map(new Text(_)))
+      lazy val (sa, sb) = (serialized(l), serialized(r))
+      Vectors.dense(fs.map(f => f.attr.fold(f.fn(sa, sb))(i => f.fn(a(i), b(i))))).compressed
+    }
     val meta = new AttributeGroup("features",
-      names.map(n => NumericAttribute.defaultAttr.withName(n): Attribute).toArray).toMetadata()
+      fs.map(f => NumericAttribute.defaultAttr.withName(f.name): Attribute)).toMetadata()
     def side(s: String): Column = array(attrs.map(a => col(s"${s}_${a.name}")): _*)
-    f(side("l"), side("r")).as("features", meta)
+    kernel(side("l"), side("r")).as("features", meta)
   }
 }

@@ -9,9 +9,9 @@ package repro.core
   * genuinely harder for feature-based matchers, as the paper observes.
   *
   * Plain Scala, testable without Spark and reusable from the neural encoder.
-  * [[FeatureGen]] names the features and runs these functions inside its
-  * UDFs; the token measures also take a [[Text]], so the features of one
-  * long-text value share one tokenization.
+  * [[FeatureGen]] names the features and runs these functions inside its one
+  * feature UDF; the token measures also take a [[Text]], so the features of
+  * one long-text value share one tokenization.
   */
 object Similarity {
 

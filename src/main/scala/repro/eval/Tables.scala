@@ -92,8 +92,10 @@ object Tables {
     val sb = new StringBuilder
     sb ++= f"== $title ==%n"
     sb ++= f"${"Matcher"}%-20s | $h1%4s($g) $h1%4s($ref)   sub    div | $h2%4s($g) $h2%4s($ref)   sub    div%n"
+    // An infinite ratio (the lower probability is 0) prints as inf.
+    def div(d: Double): String = if (d.isInfinite) f"${if (d > 0) "inf" else "-inf"}%6s" else f"$d%6.2f"
     for (r <- rows)
-      sb ++= f"${r.matcher}%-20s | ${r.m1Group}%9.2f ${r.m1Ref}%9.2f ${r.m1Sub}%6.2f ${r.m1Div}%6.2f | ${r.m2Group}%9.2f ${r.m2Ref}%9.2f ${r.m2Sub}%6.2f ${r.m2Div}%6.2f%n"
+      sb ++= f"${r.matcher}%-20s | ${r.m1Group}%9.2f ${r.m1Ref}%9.2f ${r.m1Sub}%6.2f ${div(r.m1Div)} | ${r.m2Group}%9.2f ${r.m2Ref}%9.2f ${r.m2Sub}%6.2f ${div(r.m2Div)}%n"
     sb.toString
   }
 

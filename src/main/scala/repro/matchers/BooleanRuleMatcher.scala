@@ -21,14 +21,15 @@ final case class BooleanRuleMatcher() extends Matcher {
 
   def fit(ds: EMDataset): FittedMatcher = {
     require(ds.ruleAttrs.nonEmpty, s"no rules specified for dataset ${ds.name}")
-    val features = FeatureGen.columns(ds.attrs).toMap
+    val names = FeatureGen.featureNames(ds.attrs)
     for (r <- ds.ruleAttrs)
-      require(features.contains(r.feature),
+      require(names.contains(r.feature),
         s"rule feature ${r.feature} is not generated for dataset ${ds.name} " +
-        s"(generated: ${FeatureGen.featureNames(ds.attrs).mkString(", ")})")
-    val conj = ds.ruleAttrs.map(r => features(r.feature) > r.threshold).reduce(_ && _)
+        s"(generated: ${names.mkString(", ")})")
+    val conj = ds.ruleAttrs.map(r => col(r.feature) > r.threshold).reduce(_ && _)
     new FittedMatcher {
-      def scores(pairs: DataFrame): DataFrame = pairs.withColumn("score", when(conj, 1.0).otherwise(0.0))
+      def scores(pairs: DataFrame): DataFrame =
+        FeatureGen.addFeatures(pairs, ds.attrs).withColumn("score", when(conj, 1.0).otherwise(0.0)).drop(names: _*)
     }
   }
 }

@@ -21,8 +21,11 @@ import repro.core._
   */
 abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
 
-  /** The feature vector of a pair frame, with its ML attribute metadata. */
-  protected[matchers] def features(attrs: Seq[AttrSpec]): Column = FeatureGen.vector(attrs)
+  /** The feature vector of a pair frame, with its ML attribute metadata:
+    * the Magellan features by default.
+    */
+  protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
+    FeatureGen.vector(attrs, FeatureGen.magellan(attrs))
 
   /** Trains on the featurized training split, which holds `nPos` matches and
     * `nNeg` non-matches (both > 0); returns a scorer that adds a `score`

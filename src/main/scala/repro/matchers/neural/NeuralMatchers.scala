@@ -41,41 +41,26 @@ abstract class NeuralMatcherBase extends FeatureMatcher(MatcherKind.Neural) {
 }
 
 object NeuralMatcherBase {
-  import TextEncoder.{align, normJaccard, textCos}
+  import FeatureGen.{Feature, raw}
 
-  /** One encoder similarity `fn` of one text per record: attribute `attr`'s
-    * value, or the Ditto-style serialization (all attribute values as one
-    * text block) when `attr` is None.
+  /** Whole-record (structure-blind) features: encoder similarities of the
+    * Ditto-style serialization.
     */
-  final case class Feature(name: String, fn: (String, String) => Double, attr: Option[String])
+  val global: Seq[Feature] = Seq(
+    Feature("nf_g_cos", None, raw(TextEncoder.textCos)),
+    Feature("nf_g_align", None, raw(TextEncoder.align)),
+    Feature("nf_g_jac", None, raw(TextEncoder.normJaccard)))
 
-  /** Whole-record (structure-blind) features. */
-  val global: Seq[Feature] =
-    Seq(Feature("nf_g_cos", textCos, None), Feature("nf_g_align", align, None), Feature("nf_g_jac", normJaccard, None))
-
+  /** The encoder similarity `fn` of each attribute's values. */
   def perAttr(attrs: Seq[AttrSpec], sim: String, fn: (String, String) => Double): Seq[Feature] =
-    attrs.map(a => Feature(s"nf_${sim}_${a.name}", fn, Some(a.name)))
-
-  /** The vector of `features`, from one kernel call per pair. The
-    * serialization is `concat_ws(" ")`'s: the non-null values joined by
-    * spaces.
-    */
-  def vector(attrs: Seq[AttrSpec], features: Seq[Feature]): Column = {
-    val fs = features.toArray
-    // The index in `attrs` of the text each feature reads; -1 for the serialization.
-    val at = fs.map(_.attr.fold(-1)(a => attrs.indexWhere(_.name == a)))
-    FeatureGen.pairVector(attrs, features.map(_.name)) { (l, r) =>
-      def text(side: Seq[String], i: Int): String = if (i < 0) side.filter(_ != null).mkString(" ") else side(i)
-      Array.tabulate(fs.length)(k => fs(k).fn(text(l, at(k)), text(r, at(k))))
-    }
-  }
+    attrs.indices.map(i => Feature(s"nf_${sim}_${attrs(i).name}", Some(i), raw(fn)))
 }
 
 /** Ditto: pre-trained LM over a serialized record pair (structure-blind). */
 final case class DittoSim() extends NeuralMatcherBase {
   val name = "Ditto"
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    NeuralMatcherBase.vector(attrs, NeuralMatcherBase.global)
+    FeatureGen.vector(attrs, NeuralMatcherBase.global)
 }
 
 /** DeepMatcher (hybrid): per-attribute embedding composition plus the
@@ -86,7 +71,7 @@ final case class DeepMatcherSim() extends NeuralMatcherBase {
   val name = "DeepMatcher"
   import NeuralMatcherBase._
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    vector(attrs, perAttr(attrs, "cos", TextEncoder.textCos) ++ perAttr(attrs, "align", TextEncoder.align) ++ global)
+    FeatureGen.vector(attrs, perAttr(attrs, "cos", TextEncoder.textCos) ++ perAttr(attrs, "align", TextEncoder.align) ++ global)
   override protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame = {
     // MultilayerPerceptronClassifier has no weight column: emulate balanced
     // mini-batches by oversampling the positive class.
@@ -111,7 +96,7 @@ final case class HierMatcherSim() extends NeuralMatcherBase {
   val name = "HierMatcher"
   import NeuralMatcherBase._
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    vector(attrs, perAttr(attrs, "align", TextEncoder.align) :+ global(1))
+    FeatureGen.vector(attrs, perAttr(attrs, "align", TextEncoder.align) :+ global(1))
 }
 
 /** MCAN: multi-context attention — per-attribute, global, and token contexts
@@ -121,7 +106,7 @@ final case class McanSim() extends NeuralMatcherBase {
   val name = "MCAN"
   import NeuralMatcherBase._
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    vector(attrs, perAttr(attrs, "align", TextEncoder.align) ++ perAttr(attrs, "cos", TextEncoder.textCos) ++ global)
+    FeatureGen.vector(attrs, perAttr(attrs, "align", TextEncoder.align) ++ perAttr(attrs, "cos", TextEncoder.textCos) ++ global)
   // Heavier L2: the many attention contexts are gated smoothly rather than
   // sharply, which keeps MCAN's boundary curvier (and occasionally FP-prone).
   override protected val regParam: Double = 0.02
@@ -140,7 +125,7 @@ final case class McanSim() extends NeuralMatcherBase {
 final case class GnemSim() extends NeuralMatcherBase {
   val name = "GNEM"
   override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    NeuralMatcherBase.vector(attrs, NeuralMatcherBase.global)
+    FeatureGen.vector(attrs, NeuralMatcherBase.global)
   override protected def postProcess(scored: DataFrame): DataFrame = {
     // Winner-take-most competition within each left record's candidate set:
     // the top-scoring candidate keeps its score, the rest are suppressed.
@@ -167,5 +152,4 @@ object Matchers {
     new LogRegMatcher, new LinRegMatcher, new NBMatcher,
     new DeepMatcherSim, new DittoSim, new GnemSim, new HierMatcherSim, new McanSim)
   def neural: Seq[Matcher] = all.filter(_.kind == MatcherKind.Neural)
-  def nonNeural: Seq[Matcher] = all.filter(_.kind == MatcherKind.NonNeural)
 }

@@ -4,8 +4,9 @@ import org.apache.spark.ml.attribute.AttributeGroup
 import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.{col, udf}
 
-import repro.core.{AttrKind, AttrSpec}
+import repro.core.{AttrKind, AttrSpec, Similarity}
 import repro.data.{EMBench, GenUtil, Social}
 import repro.data.GenUtil.PairRow
 
@@ -53,5 +54,23 @@ trait AssembledCheck extends SparkSpec {
       val (a, f) = (r.getAs[Vector](0), r.getAs[Vector](1))
       assert(a.getClass == f.getClass && bits(a) == bits(f), s"$what: assembled $a, fused $f")
     }
+  }
+}
+
+object AssembledCheck {
+
+  /** Every Magellan feature of a schema as its own UDF column of the
+    * matching [[Similarity]] String measure, named and ordered as
+    * `FeatureGen.featureNames` lists them.
+    */
+  def magellanColumns(attrs: Seq[AttrSpec]): Seq[(String, Column)] = attrs.flatMap { a =>
+    import Similarity._
+    val sims: Seq[(String, (String, String) => Double)] = a.kind match {
+      case AttrKind.ShortStr => Seq(("exact", exactSim), ("lev", levenshteinSim), ("jw", jaroWinkler))
+      case AttrKind.LongText =>
+        Seq(("jac", tokenJaccard), ("cos", tfCosine), ("ovl", overlapCoeff), ("lev", levenshteinSim))
+      case AttrKind.Numeric  => Seq(("exact", exactSim), ("num", numericSim))
+    }
+    sims.map { case (s, f) => s"f_${a.name}_$s" -> udf(f).apply(col(s"l_${a.name}"), col(s"r_${a.name}")) }
   }
 }

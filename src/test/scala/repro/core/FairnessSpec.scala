@@ -89,6 +89,16 @@ class FairnessSpec extends AnyFunSuite {
   test("Table 5 MCAN FDR row: 0.19 vs 0.05 -> div 2.8") {
     assert(math.abs(divVsRef(0.19, 0.05, LowerBetter) - 2.8) < 1e-9)
   }
+  test("divVsRef is infinite when the lower probability is 0 and the other is not, in either direction") {
+    // TPR: the audited group finds none of its matches, the reference some.
+    assert(divVsRef(0.0, 0.86, HigherBetter) == Double.PositiveInfinity)
+    // FDR: the reference group has no false discoveries, the audited group some.
+    assert(divVsRef(0.06, 0.0, LowerBetter) == Double.PositiveInfinity)
+  }
+  test("divVsRef is 0 when both probabilities are 0") {
+    assert(divVsRef(0.0, 0.0, HigherBetter) == 0.0)
+    assert(divVsRef(0.0, 0.0, LowerBetter) == 0.0)
+  }
   test("Table 5 DeepMatcher TPR row: signed negative disparity when group is ahead") {
     assert(math.abs(subVsRef(0.89, 0.86, HigherBetter) - (-0.03)) < 1e-9)
     assert(divVsRef(0.89, 0.86, HigherBetter) < 0)

@@ -5,11 +5,11 @@ import repro.AssembledCheck
 class FeatureGenSpec extends AssembledCheck {
 
   test("featureNames per kind") {
-    assert(FeatureGen.featureNames(AttrSpec("a", AttrKind.ShortStr)) ==
+    assert(FeatureGen.featureNames(Seq(AttrSpec("a", AttrKind.ShortStr))) ==
       Seq("f_a_exact", "f_a_lev", "f_a_jw"))
-    assert(FeatureGen.featureNames(AttrSpec("a", AttrKind.LongText)) ==
+    assert(FeatureGen.featureNames(Seq(AttrSpec("a", AttrKind.LongText))) ==
       Seq("f_a_jac", "f_a_cos", "f_a_ovl", "f_a_lev"))
-    assert(FeatureGen.featureNames(AttrSpec("a", AttrKind.Numeric)) ==
+    assert(FeatureGen.featureNames(Seq(AttrSpec("a", AttrKind.Numeric))) ==
       Seq("f_a_exact", "f_a_num"))
   }
   test("featureNames of the schema is the concatenation") {
@@ -48,6 +48,7 @@ class FeatureGenSpec extends AssembledCheck {
   }
 
   test("vector equals the assembled per-feature columns on every row") {
-    for ((name, df, as) <- splits) assertAssembled(name, df, FeatureGen.vector(as), FeatureGen.columns(as))
+    for ((name, df, as) <- splits)
+      assertAssembled(name, df, FeatureGen.vector(as, FeatureGen.magellan(as)), AssembledCheck.magellanColumns(as))
   }
 }

@@ -88,6 +88,13 @@ class TablesSpec extends SparkSpec {
       Tables.OverviewRow(ds.name, tr, te, 100.0 * pos / (tr + te), ds.attrs.size, ds.sensitiveAttr))
   }
 
+  test("renderSocial prints an infinite ratio as inf, right-aligned in the ratio's column") {
+    def line(div: Double): String = Tables.renderSocial("T", "TPR", "FDR", "Afr", "Cauc",
+      Seq(Tables.SocialRow("DTMatcher", MatcherKind.NonNeural, 0.9, 0.9, 0.0, 0.0, 0.06, 0.0, 0.06, div)))
+      .linesIterator.toSeq(2)
+    assert(line(Double.PositiveInfinity) == line(0.0).stripSuffix("  0.00") + "   inf")
+  }
+
   test("every table picks its datasets from one list per session") {
     val all = Tables.allDatasets(spark)
     assert(Tables.allDatasets(spark) eq all)

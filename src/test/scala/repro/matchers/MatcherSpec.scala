@@ -1,12 +1,14 @@
 package repro.matchers
 
 import org.apache.spark.ml.attribute.{Attribute, NominalAttribute}
+import org.apache.spark.ml.linalg.SQLDataTypes
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.functions._
 
-import repro.SparkSpec
+import repro.{AssembledCheck, SparkSpec}
 import repro.core._
-import repro.data.GenUtil
+import repro.data.{EMBench, GenUtil, Social}
 import repro.data.GenUtil.PairRow
 import repro.matchers.neural._
 
@@ -144,6 +146,29 @@ class MatcherSpec extends SparkSpec {
       BooleanRuleMatcher().fit(toy.copy(ruleAttrs = Seq(MatchRule("f_nmae_lev", 0.5))))
     }
     assert(e.getMessage.contains("f_nmae_lev") && e.getMessage.contains("toy"))
+  }
+
+  test("BooleanRuleMatcher: scores on three test splits are bit-identical to the per-rule UDF conjunction") {
+    for (ds <- Seq(Social.facultyMatch(spark), Social.noFlyCompas(spark), EMBench.iTunesAmazon(spark))) {
+      val rule = AssembledCheck.magellanColumns(ds.attrs).toMap
+      val conj = ds.ruleAttrs.map(r => rule(r.feature) > r.threshold).reduce(_ && _)
+      val expected = ds.test.withColumn("score", when(conj, 1.0).otherwise(0.0))
+      val actual = BooleanRuleMatcher().fit(ds).scores(ds.test)
+      assert(actual.columns.toSeq == expected.columns.toSeq, ds.name)
+      def bits(df: DataFrame): Seq[(Long, Long, Long)] = df.select("id1", "id2", "score").collect().toSeq
+        .map(r => (r.getLong(0), r.getLong(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2)))).sorted
+      assert(bits(actual) == bits(expected), ds.name)
+    }
+  }
+
+  test("BooleanRuleMatcher: the optimized plan runs the feature kernel once, not once per rule") {
+    val ds = Social.facultyMatch(spark)
+    assert(ds.ruleAttrs.size == 2)
+    val plan = BooleanRuleMatcher().fit(ds).scores(ds.test).queryExecution.optimizedPlan
+    val kernels = plan.flatMap(_.expressions.flatMap(_.collect {
+      case u: ScalaUDF if u.dataType == SQLDataTypes.VectorType => u
+    }))
+    assert(kernels.size == 1, plan)
   }
 
   private val trained = Matchers.all.filter(_.kind != MatcherKind.RuleBased)
