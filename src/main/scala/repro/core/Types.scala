@@ -53,9 +53,29 @@ final case class EMDataset(
   /** The confusion cube of each matcher fitted on this instance, keyed by the
     * matcher value; `None` when the matcher refused. Filled by
     * [[repro.eval.Tables]]. A body field, so equality and `copy` ignore it and
-    * a copy (say, with another split) starts empty.
+    * a copy (say, with another split) starts empty. Read and written under
+    * the instance's lock, as [[fitted]] is.
     */
   private[repro] val cubes = scala.collection.mutable.Map.empty[Matcher, Option[ConfusionCube]]
+
+  /** The fit of each matcher value on this instance; `None` when it refused.
+    * A body field like [[cubes]]. Each fit (with its MLlib model) is kept for
+    * as long as the instance lives, not only until its cube is built.
+    */
+  private val fits = scala.collection.mutable.Map.empty[Matcher, Option[FittedMatcher]]
+
+  /** `m` fitted on this instance on the first call for its value, and read
+    * back after; None when `m` refuses the dataset. A fit that reads another
+    * matcher's (GNEM reads Ditto's) re-enters the lock, so the entry is
+    * inserted only after the fit returns.
+    */
+  private[repro] def fitted(m: Matcher): Option[FittedMatcher] = synchronized {
+    fits.getOrElse(m, {
+      val f = try Some(m.fit(this)) catch { case _: MatcherNotScalable => None }
+      fits(m) = f
+      f
+    })
+  }
 }
 
 /** Matcher category, per Table 3 of the paper. */

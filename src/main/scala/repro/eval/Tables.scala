@@ -13,8 +13,9 @@ import repro.matchers.neural.Matchers
   * EXPERIMENTS.md records paper-vs-measured side by side.
   *
   * Every harness reads the confusion cube of a (dataset instance, matcher)
-  * from one store: the matcher is fitted, its test split scored and the
-  * scores aggregated over [[taus]] once, whichever tables ask for it.
+  * from one store: the matcher is fitted ([[EMDataset.fitted]]), its test
+  * split scored and the scores aggregated over [[taus]] once, whichever
+  * tables ask for it.
   */
 object Tables {
 
@@ -27,18 +28,14 @@ object Tables {
   /** Every threshold a table reads: the Figure 14 grid and [[thresholdFor]]'s. */
   val taus: Seq[Double] = (sweepTaus ++ Seq(0.5, 0.9)).distinct
 
-  /** Fits and scores; None when the matcher refuses the dataset (Dedupe). */
-  private def scoredTest(m: Matcher, ds: EMDataset): Option[DataFrame] =
-    try Some(m.fit(ds).scores(ds.test))
-    catch { case _: MatcherNotScalable => None }
-
-  /** The cube of `m` on `ds` over [[taus]], built on the first call for this
-    * dataset instance and matcher value and read back after; None when the
-    * matcher refuses the dataset. A score's bucket is monotone in τ, so the
-    * cube gives the same counts at each τ as a cube over that τ alone.
+  /** The cube of `m`'s test scores on `ds` over [[taus]], built on the first
+    * call for this dataset instance and matcher value and read back after;
+    * None when the matcher refuses the dataset ([[EMDataset.fitted]]). A
+    * score's bucket is monotone in τ, so the cube gives the same counts at
+    * each τ as a cube over that τ alone.
     */
   private def cube(ds: EMDataset, m: Matcher): Option[ConfusionCube] =
-    ds.cubes.synchronized(ds.cubes.getOrElseUpdate(m, scoredTest(m, ds).map(ConfusionCube(_, taus))))
+    ds.synchronized(ds.cubes.getOrElseUpdate(m, ds.fitted(m).map(f => ConfusionCube(f.scores(ds.test), taus))))
 
   // ------------------------------------------------------------------
   // Tables 5 & 6: social-dataset audits
@@ -92,10 +89,12 @@ object Tables {
     val sb = new StringBuilder
     sb ++= f"== $title ==%n"
     sb ++= f"${"Matcher"}%-20s | $h1%4s($g) $h1%4s($ref)   sub    div | $h2%4s($g) $h2%4s($ref)   sub    div%n"
+    // A disparity that rounds to zero is a tie: 0.00, never -0.00.
+    def num(d: Double): String = f"$d%6.2f".replace("-0.00", " 0.00")
     // An infinite ratio (the lower probability is 0) prints as inf.
-    def div(d: Double): String = if (d.isInfinite) f"${if (d > 0) "inf" else "-inf"}%6s" else f"$d%6.2f"
+    def div(d: Double): String = if (d.isInfinite) f"${if (d > 0) "inf" else "-inf"}%6s" else num(d)
     for (r <- rows)
-      sb ++= f"${r.matcher}%-20s | ${r.m1Group}%9.2f ${r.m1Ref}%9.2f ${r.m1Sub}%6.2f ${div(r.m1Div)} | ${r.m2Group}%9.2f ${r.m2Ref}%9.2f ${r.m2Sub}%6.2f ${div(r.m2Div)}%n"
+      sb ++= f"${r.matcher}%-20s | ${r.m1Group}%9.2f ${r.m1Ref}%9.2f ${num(r.m1Sub)} ${div(r.m1Div)} | ${r.m2Group}%9.2f ${r.m2Ref}%9.2f ${num(r.m2Sub)} ${div(r.m2Div)}%n"
     sb.toString
   }
 

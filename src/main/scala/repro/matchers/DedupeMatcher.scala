@@ -26,7 +26,8 @@ final case class DedupeMatcher(maxPairs: Long = 20000) extends FeatureMatcher(Ma
     val nPairs = Counts.by(ds.train.union(ds.test)).values.sum
     if (nPairs > maxPairs)
       throw new MatcherNotScalable(s"Dedupe does not scale to ${ds.name} ($nPairs pairs)")
-    super.fit(ds)
+    val pairwise = super.fit(ds)
+    pairs => clustered(pairwise.scores(pairs))
   }
 
   protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame =
@@ -35,7 +36,8 @@ final case class DedupeMatcher(maxPairs: Long = 20000) extends FeatureMatcher(Ma
       .setRegParam(0.01).setElasticNetParam(0.5).setMaxIter(100)
       .fit(train))
 
-  override protected def postProcess(scored: DataFrame): DataFrame = {
+  /** The pairwise scores of a whole frame, refined by the clustering. */
+  private def clustered(scored: DataFrame): DataFrame = {
     // Read twice (edges below, then the caller). Not cache(): that pins a
     // CacheManager entry for the whole session; the checkpoint's blocks are
     // freed once the frame is unreachable.

@@ -8,16 +8,16 @@ import org.apache.spark.sql.functions._
 
 import repro.core._
 
-/** The shape of every trained matcher (§4.2, Table 3): per-pair features, a
-  * classifier over them, then an optional refinement of the scores (Dedupe's
-  * clustering, GNEM's one-to-set competition).
+/** The shape of every trained matcher (§4.2, Table 3): per-pair features and
+  * a classifier over them, its two hooks. A refinement of the scores
+  * (Dedupe's clustering, GNEM's one-to-set competition) wraps a fitted
+  * matcher instead.
   *
   * One `fit` for all of them: add the `features` vector (one UDF per pair),
   * mark the training `label` binary, count both classes of the cached
   * training split (the one [[Counts]] job also fills the cache), fall back to
   * the constant class when the split has only one, otherwise train the
-  * classifier. Scores are clipped to [0,1] and the vector dropped before
-  * `postProcess`.
+  * classifier. Scores are clipped to [0,1] and the vector dropped.
   */
 abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
 
@@ -32,9 +32,6 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
     * column to a featurized frame.
     */
   protected[matchers] def classifier(train: DataFrame, nPos: Long, nNeg: Long): DataFrame => DataFrame
-
-  /** Refines the clipped scores of a whole frame; identity by default. */
-  protected def postProcess(scored: DataFrame): DataFrame = scored
 
   def fit(ds: EMDataset): FittedMatcher = {
     val fs = features(ds.attrs)
@@ -53,9 +50,9 @@ abstract class FeatureMatcher(val kind: MatcherKind) extends Matcher {
 
     new FittedMatcher {
       def scores(pairs: DataFrame): DataFrame =
-        postProcess(scorer(prep(pairs))
+        scorer(prep(pairs))
           .withColumn("score", least(greatest(col("score"), lit(0.0)), lit(1.0)))
-          .drop("features"))
+          .drop("features")
     }
   }
 }

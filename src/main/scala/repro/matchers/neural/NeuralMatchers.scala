@@ -21,8 +21,8 @@ import repro.matchers.FeatureMatcher._
   *  - HierMatcherSim: per-attribute token alignment (cross-attribute token
   *    alignment with attribute-aware attention);
   *  - McanSim: multiple attention contexts (per-attribute, global, token);
-  *  - GnemSim: pairwise scores refined one-to-set over candidates that share
-  *    a left record (graph propagation).
+  *  - GnemSim: Ditto's pairwise scores refined one-to-set over candidates
+  *    that share a left record (graph propagation).
   */
 abstract class NeuralMatcherBase extends FeatureMatcher(MatcherKind.Neural) {
 
@@ -121,12 +121,21 @@ final case class McanSim() extends NeuralMatcherBase {
   * over-commits to records whose candidates are all true non-matches —
   * reproducing GNEM's characteristic F-1 collapse on DBLP-ACM (Table 9).
   * Pairs whose left record has a single candidate keep the base score.
+  *
+  * The pairwise model is Ditto's (the same serialized-record features and LR
+  * head), so GNEM scores through Ditto's fit on the dataset instance
+  * ([[EMDataset.fitted]]) rather than training it again.
   */
-final case class GnemSim() extends NeuralMatcherBase {
+final case class GnemSim() extends Matcher {
   val name = "GNEM"
-  override protected[matchers] def features(attrs: Seq[AttrSpec]): Column =
-    FeatureGen.vector(attrs, NeuralMatcherBase.global)
-  override protected def postProcess(scored: DataFrame): DataFrame = {
+  val kind: MatcherKind = MatcherKind.Neural
+
+  def fit(ds: EMDataset): FittedMatcher = {
+    val pairwise = ds.fitted(DittoSim()).get // Ditto refuses no dataset.
+    pairs => compete(pairwise.scores(pairs))
+  }
+
+  private def compete(scored: DataFrame): DataFrame = {
     // Winner-take-most competition within each left record's candidate set:
     // the top-scoring candidate keeps its score, the rest are suppressed.
     // On one-to-many sets whose best candidate is the true match (social

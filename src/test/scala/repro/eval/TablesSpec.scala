@@ -2,23 +2,49 @@ package repro.eval
 
 import java.util.concurrent.atomic.AtomicInteger
 
-import repro.SparkSpec
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
+
+import repro.{MLFits, SparkJobs, SparkSpec}
 import repro.core._
 import repro.core.Fairness.{PPVP, TPRP}
 import repro.data.EMBench
-import repro.matchers.{DedupeMatcher, DTMatcher, LinRegMatcher, RFMatcher}
+import repro.matchers.{DedupeMatcher, DTMatcher, GnemReference, LinRegMatcher, RFMatcher}
+import repro.matchers.neural.{DittoSim, GnemSim, Matchers}
 
-/** The cube store behind the table harnesses: each (dataset instance,
-  * matcher value) is fitted, scored and aggregated once, and every row equals
-  * the one a fresh fit, score and aggregation per call gives.
+/** The fit and cube stores behind the table harnesses: each (dataset
+  * instance, matcher value) is fitted, scored and aggregated once, and every
+  * row equals the one a fresh fit, score and aggregation per call gives.
   */
 class TablesSpec extends SparkSpec {
-  import TablesSpec.Counting
+  import TablesSpec.{Constant, Counting, Nested}
 
   private lazy val itunes = EMBench.iTunesAmazon(spark)
 
   /** A copy has an empty store, so each test starts from no fits. */
   private def fresh(): EMDataset = itunes.copy()
+
+  /** Two groups of `scored` where both measures are defined, so rows compare without NaN. */
+  private def twoGroups(scored: DataFrame): (String, String) = {
+    val Seq(g, ref) = ConfusionCounts.single(scored, 0.5).toSeq
+      .filter(_._2.tp > 0).sortBy(-_._2.total).map(_._1).take(2)
+    (g, ref)
+  }
+
+  /** `m`'s correctness row and social row (`g` against `ref`) on `ds`,
+    * computed from its `scored` test split with no store.
+    */
+  private def unshared(ds: EMDataset, m: Matcher, scored: DataFrame, g: String, ref: String)
+      : (Tables.CorrectnessRow, Tables.SocialRow) = {
+    val c = ConfusionCounts.overall(scored, Tables.thresholdFor(ds.name))
+    val byGroup = ConfusionCounts.single(scored, Tables.thresholdFor(ds.name))
+    def v(measure: Fairness.Measure, grp: String): Double = measure.value(byGroup(grp)).get
+    val (t1, t2, p1, p2) = (v(TPRP, g), v(TPRP, ref), v(PPVP, g), v(PPVP, ref))
+    (Tables.CorrectnessRow(ds.name, m.name, m.kind, Audit.accuracy(c), Audit.f1(c)),
+     Tables.SocialRow(m.name, m.kind,
+       t1, t2, Fairness.subVsRef(t1, t2, TPRP.direction), Fairness.divVsRef(t1, t2, TPRP.direction),
+       p1, p2, Fairness.subVsRef(p1, p2, PPVP.direction), Fairness.divVsRef(p1, p2, PPVP.direction)))
+  }
 
   test("sensitivity, correctness and socialTable share one fit, and each row equals the unshared path") {
     val ds = fresh()
@@ -26,9 +52,7 @@ class TablesSpec extends SparkSpec {
     val m = Counting(LinRegMatcher())(fits)
 
     val scored = LinRegMatcher().fit(ds).scores(ds.test)
-    val byGroup = ConfusionCounts.single(scored, 0.5)
-    // Two groups where both measures are defined, so rows compare without NaN.
-    val Seq(g, ref) = byGroup.toSeq.filter(_._2.tp > 0).sortBy(-_._2.total).map(_._1).take(2)
+    val (g, ref) = twoGroups(scored)
 
     val sens = Tables.sensitivity(ds, Seq(m))
     val corr = Tables.correctness(ds, Seq(m))
@@ -38,13 +62,50 @@ class TablesSpec extends SparkSpec {
     val results = Audit.sweep(scored, Tables.sweepTaus, measures = Seq(TPRP, PPVP))
     assert(sens == Seq(Tables.SensitivityRow(ds.name, m.name,
       Audit.thresholdSensitivity(results, TPRP), Audit.thresholdSensitivity(results, PPVP))))
-    val c = ConfusionCounts.overall(scored, Tables.thresholdFor(ds.name))
-    assert(corr == Seq(Tables.CorrectnessRow(ds.name, m.name, m.kind, Audit.accuracy(c), Audit.f1(c))))
-    def v(measure: Fairness.Measure, grp: String): Double = measure.value(byGroup(grp)).get
-    val (t1, t2, p1, p2) = (v(TPRP, g), v(TPRP, ref), v(PPVP, g), v(PPVP, ref))
-    assert(social == Seq(Tables.SocialRow(m.name, m.kind,
-      t1, t2, Fairness.subVsRef(t1, t2, TPRP.direction), Fairness.divVsRef(t1, t2, TPRP.direction),
-      p1, p2, Fairness.subVsRef(p1, p2, PPVP.direction), Fairness.divVsRef(p1, p2, PPVP.direction))))
+    val (corrRow, socialRow) = unshared(ds, m, scored, g, ref)
+    assert(corr == Seq(corrRow))
+    assert(social == Seq(socialRow))
+  }
+
+  test("Ditto's cube and then GNEM's train one LR model, and GNEM's cube runs fewer jobs than GNEM first") {
+    val ds = fresh()
+    val ((_, afterDitto), trained) = MLFits.trained {
+      Tables.correctness(ds, Seq(DittoSim()))
+      SparkJobs.count(spark)(Tables.correctness(ds, Seq(GnemSim())))
+    }
+    assert(trained == Seq("LogisticRegression"))
+    val (_, first) = SparkJobs.count(spark)(Tables.correctness(fresh(), Seq(GnemSim())))
+    assert(afterDitto.jobs < first.jobs, (afterDitto, first))
+  }
+
+  test("GNEM's correctness and social rows through Ditto's fit equal those of its own unshared fit") {
+    val ds = fresh()
+    val scored = GnemReference.fit(fresh()).scores(ds.test)
+    val (g, ref) = twoGroups(scored)
+    Tables.correctness(ds, Seq(DittoSim()))
+    val (corrRow, socialRow) = unshared(ds, GnemReference, scored, g, ref)
+    assert(Tables.correctness(ds, Seq(GnemSim())) == Seq(corrRow))
+    assert(Tables.socialTable(ds, g, ref, TPRP, PPVP, Seq(GnemSim())) == Seq(socialRow))
+  }
+
+  test("Table 9's 13 matchers on one dataset instance train 11 classifiers: GNEM trains none") {
+    val (rows, trained) = MLFits.trained(Tables.correctness(fresh(), Matchers.all))
+    assert(rows.size == 13 && rows.forall(!_.acc.isNaN))
+    assert(trained.size == 11, trained)
+    assert(trained.count(_ == "LogisticRegression") == 5, trained)
+  }
+
+  test("a fit that fits other matchers through the store stores each entry once, nested inserts included") {
+    val ds = fresh()
+    val fits = new AtomicInteger
+    // More inserts inside the outer fit than the store's initial capacity holds.
+    val inner = (1 to 20).map(i => Counting(Constant(i / 100.0))(fits))
+    val outer = Counting(Nested(inner))(fits)
+    val f = ds.fitted(outer).get
+    assert(fits.get == 21)
+    assert(inner.forall(ds.fitted(_).isDefined) && (ds.fitted(outer).get eq f))
+    assert(fits.get == 21)
+    assert(f.scores(ds.test).filter("score = 0.01").count() == ds.test.count())
   }
 
   test("a refusal is stored: an equal refusing configuration asked again is not refitted") {
@@ -95,6 +156,14 @@ class TablesSpec extends SparkSpec {
     assert(line(Double.PositiveInfinity) == line(0.0).stripSuffix("  0.00") + "   inf")
   }
 
+  test("renderSocial prints a disparity that rounds to zero as 0.00, never -0.00") {
+    def line(d: Double): String = Tables.renderSocial("T", "TPR", "FDR", "Afr", "Cauc",
+      Seq(Tables.SocialRow("BooleanRuleMatcher", MatcherKind.RuleBased, 0.5, 0.5, d, d, 0.92, 0.92, d, d)))
+      .linesIterator.toSeq(2)
+    assert(line(-1e-9).endsWith("|      0.50      0.50   0.00   0.00 |      0.92      0.92   0.00   0.00"))
+    assert(line(-0.006).endsWith("|      0.50      0.50  -0.01  -0.01 |      0.92      0.92  -0.01  -0.01"))
+  }
+
   test("every table picks its datasets from one list per session") {
     val all = Tables.allDatasets(spark)
     assert(Tables.allDatasets(spark) eq all)
@@ -111,5 +180,21 @@ object TablesSpec {
     def name: String = inner.name
     def kind: MatcherKind = inner.kind
     def fit(ds: EMDataset): FittedMatcher = { fits.incrementAndGet(); inner.fit(ds) }
+  }
+
+  /** Trains nothing: every pair scores `score`. */
+  final case class Constant(score: Double) extends Matcher {
+    def name: String = s"Constant($score)"
+    def kind: MatcherKind = MatcherKind.NonNeural
+    def fit(ds: EMDataset): FittedMatcher = pairs => pairs.withColumn("score", lit(score))
+  }
+
+  /** Fits each of `inner` through the store during its own fit, and scores
+    * as the first of them.
+    */
+  final case class Nested(inner: Seq[Matcher]) extends Matcher {
+    def name: String = "Nested"
+    def kind: MatcherKind = MatcherKind.NonNeural
+    def fit(ds: EMDataset): FittedMatcher = inner.map(ds.fitted(_).get).head
   }
 }

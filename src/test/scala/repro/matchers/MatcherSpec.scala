@@ -219,6 +219,17 @@ class MatcherSpec extends SparkSpec {
     assert(scored(11) < scored(10))
   }
 
+  test("GNEM: test scores on three splits are bit-identical to its own fit of Ditto's features and head plus the competition") {
+    for (ds <- Seq(EMBench.iTunesAmazon(spark), EMBench.dblpAcm(spark), Social.facultyMatch(spark))) {
+      def bits(m: Matcher): Seq[(Long, Long, Long)] = m.fit(ds).scores(ds.test).select("id1", "id2", "score")
+        .collect().toSeq.map(r => (r.getLong(0), r.getLong(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2))))
+        .sorted
+      val expected = bits(GnemReference)
+      assert(expected.size == ds.test.count(), ds.name)
+      assert(bits(GnemSim()) == expected, ds.name)
+    }
+  }
+
   test("neural matchers expose Table 3 names") {
     assert(Matchers.neural.map(_.name).toSet ==
       Set("DeepMatcher", "Ditto", "GNEM", "HierMatcher", "MCAN"))

@@ -20,7 +20,7 @@ class NeuralVectorSpec extends AssembledCheck {
     def perAttr(fn: String, u: UserDefinedFunction) =
       as.map(a => s"nf_${fn}_${a.name}" -> u(col(s"l_${a.name}"), col(s"r_${a.name}")))
     m match {
-      case _: DittoSim | _: GnemSim => global
+      case _: DittoSim => global
       case _: DeepMatcherSim => perAttr("cos", cos) ++ perAttr("align", align) ++ global
       case _: HierMatcherSim => perAttr("align", align) :+ global(1)
       case _: McanSim => perAttr("align", align) ++ perAttr("cos", cos) ++ global
@@ -28,8 +28,9 @@ class NeuralVectorSpec extends AssembledCheck {
   }
 
   test("each neural matcher's vector equals its assembled per-feature columns on every row") {
-    val neural = Matchers.neural.map(_.asInstanceOf[NeuralMatcherBase])
-    assert(neural.size == 5)
+    // GNEM scores through Ditto's fit, so its vector is Ditto's.
+    val neural = Matchers.neural.collect { case m: NeuralMatcherBase => m }
+    assert(neural.size == 4)
     for (m <- neural; (name, df, as) <- splits)
       assertAssembled(s"${m.name} on $name", df, m.features(as), perFeature(m, as))
   }
