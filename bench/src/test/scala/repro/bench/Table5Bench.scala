@@ -13,8 +13,7 @@ class Table5Bench extends TableBench("Table5") {
   private lazy val rows = Tables.table5(spark)
 
   test("render Table 5") {
-    Rendered.show("Table5", Tables.renderSocial("Table 5: NoFlyCompas", "TPR", "FDR",
-      "Afr", "Cauc", rows))
+    render(Tables.render5(rows))
   }
 
   test("shape: non-neural matchers are near-perfect (TPR ~1, FDR ~0)") {

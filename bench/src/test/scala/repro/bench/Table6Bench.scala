@@ -14,8 +14,7 @@ class Table6Bench extends TableBench("Table6") {
   private lazy val rows = Tables.table6(spark)
 
   test("render Table 6") {
-    Rendered.show("Table6", Tables.renderSocial("Table 6: FacultyMatch", "TPR", "PPV",
-      "cn", "de", rows))
+    render(Tables.render6(rows))
   }
 
   test("shape: every neural matcher has lower TPR for the cn group") {

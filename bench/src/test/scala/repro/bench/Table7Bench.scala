@@ -21,26 +21,7 @@ class Table7Bench extends TableBench("Table7") {
       .map(r => (r.tprpSens, r.ppvpSens)).getOrElse((Double.NaN, Double.NaN))
 
   test("render Table 7") {
-    val matchers = rows.map(_.matcher).distinct
-    // Every column fits the longest matcher name and a two-space gap.
-    val width = matchers.map(_.length).max + 2
-    def cell(text: String): String = text.padTo(width, ' ')
-    val sb = new StringBuilder
-    for (measure <- Seq("TPRP", "PPVP")) {
-      sb ++= f"%n== Table 7 ($measure sensitivity) ==%n"
-      sb ++= f"${"Dataset"}%-15s" + matchers.map(cell).mkString + f"%n"
-      for (d <- datasets.map(_.name)) {
-        sb ++= f"$d%-15s"
-        for (m <- matchers) {
-          // A refused cell (Dedupe on Cameras) prints as `-`, as in Table 9.
-          val v = rows.find(r => r.dataset == d && r.matcher == m)
-            .map(r => if (measure == "TPRP") r.tprpSens else r.ppvpSens)
-          sb ++= cell(v.fold("-")(x => f"$x%.1f"))
-        }
-        sb ++= f"%n"
-      }
-    }
-    Rendered.show("Table7", sb.toString)
+    render(Tables.render7(datasets.map(_.name), rows))
   }
 
   test("shape: the rule-based matcher has zero threshold sensitivity (binary scores)") {

@@ -16,20 +16,7 @@ class Table9Bench extends TableBench("Table9") {
     rows.find(r => r.dataset == ds && r.matcher == m).map(_.f1).getOrElse(Double.NaN)
 
   test("render Table 9") {
-    val matchers = rows.map(_.matcher).distinct
-    val dsNames  = datasets.map(_.name)
-    val sb = new StringBuilder
-    sb ++= f"%n== Table 9: Overall performance (Acc / F-1) ==%n"
-    sb ++= f"${"Matcher"}%-20s" + dsNames.map(n => f"$n%-22s").mkString + f"%n"
-    for (m <- matchers) {
-      sb ++= f"$m%-20s"
-      for (d <- dsNames) {
-        val r = rows.find(r => r.dataset == d && r.matcher == m).get
-        sb ++= (if (r.acc.isNaN) f"${"-"}%-22s" else f"${f"${r.acc}%.2f / ${r.f1}%.2f"}%-22s")
-      }
-      sb ++= f"%n"
-    }
-    Rendered.show("Table9", sb.toString)
+    render(Tables.render9(datasets.map(_.name), rows))
   }
 
   test("shape: non-neural matchers fail on textual data (F-1 near zero)") {

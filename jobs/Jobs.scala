@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.{Audit, ConfusionCube, Fairness, Lens}
 import repro.data.Social
-import repro.eval.Tables
+import repro.eval.{Tables => T}
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
@@ -22,52 +22,23 @@ object JobSession {
   }
 }
 
-/** Table 4: dataset overview. `spark-submit --class repro.jobs.Table4 …` */
-object Table4 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table4")
-    for (r <- Tables.allDatasets(spark).map(Tables.overview))
-      println(f"${r.dataset}%-15s train=${r.train}%7d test=${r.test}%7d pos=${r.posPct}%5.2f%% attrs=${r.nAttrs}%2d sens=${r.sensAttr}")
-    spark.stop()
-  }
-}
+/** The paper's tables, each printed as `bench/reference/Table<N>.txt` holds
+  * it, in the order asked: `spark-submit --class repro.jobs.Tables … 4 5 6 7 9`.
+  * One session renders them all, so they share its datasets, fits and cubes.
+  */
+object Tables {
+  private val render: Map[String, SparkSession => String] = Map(
+    "4" -> (s => T.render4(T.allDatasets(s).map(T.overview))),
+    "5" -> (s => T.render5(T.table5(s))),
+    "6" -> (s => T.render6(T.table6(s))),
+    "7" -> { s => val dss = T.table7Datasets(s); T.render7(dss.map(_.name), dss.flatMap(T.sensitivity(_))) },
+    "9" -> { s => val dss = T.allDatasets(s); T.render9(dss.map(_.name), dss.flatMap(T.correctness(_))) })
 
-/** Table 5: NoFlyCompas audit. */
-object Table5 {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table5")
-    println(Tables.renderSocial("Table 5: NoFlyCompas", "TPR", "FDR", "Afr", "Cauc",
-      Tables.table5(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 6: FacultyMatch audit. */
-object Table6 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table6")
-    println(Tables.renderSocial("Table 6: FacultyMatch", "TPR", "PPV", "cn", "de",
-      Tables.table6(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 7: threshold sensitivity on the four benchmark datasets. */
-object Table7 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table7")
-    for (ds <- Tables.table7Datasets(spark); r <- Tables.sensitivity(ds))
-      println(f"${r.dataset}%-15s ${r.matcher}%-20s TPRP=${r.tprpSens}%5.1f PPVP=${r.ppvpSens}%5.1f")
-    spark.stop()
-  }
-}
-
-/** Table 9: correctness of all matchers across all datasets. */
-object Table9 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table9")
-    for (ds <- Tables.allDatasets(spark); r <- Tables.correctness(ds))
-      println(f"${r.dataset}%-15s ${r.matcher}%-20s acc=${r.acc}%5.2f f1=${r.f1}%5.2f")
+    require(args.nonEmpty && args.forall(render.contains),
+      s"usage: repro.jobs.Tables <N>... with each N one of 4 5 6 7 9; got: ${args.mkString(" ")}")
+    val spark = JobSession.session("tables")
+    for (n <- args) print(render(n)(spark))
     spark.stop()
   }
 }

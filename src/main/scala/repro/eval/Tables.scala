@@ -9,8 +9,11 @@ import repro.matchers.neural.Matchers
 
 /** Harnesses that recompute the paper's evaluation tables (5, 6, 7, 9 — plus
   * the Table 4 dataset overview) on the synthetic substrate. Each harness
-  * returns structured rows and can render the same layout the paper reports;
-  * EXPERIMENTS.md records paper-vs-measured side by side.
+  * returns structured rows, and one renderer per table (`render4` …
+  * `render9`) prints them in the layout the paper reports; the bench suites
+  * and the `repro.jobs.Tables` main print through them, and
+  * `bench/reference/Table<N>.txt` holds their text. EXPERIMENTS.md records
+  * paper-vs-measured side by side.
   *
   * Every harness reads the confusion cube of a (dataset instance, matcher)
   * from one store: the matcher is fitted ([[EMDataset.fitted]]), its test
@@ -84,6 +87,14 @@ object Tables {
     socialTable(dataset(spark, "FacultyMatch"), "cn", "de",
       Fairness.TPRP, Fairness.PPVP, matchers)
 
+  /** Table 5's text: NoFlyCompas, African-American against Caucasian. */
+  def render5(rows: Seq[SocialRow]): String =
+    renderSocial("Table 5: NoFlyCompas", "TPR", "FDR", "Afr", "Cauc", rows)
+
+  /** Table 6's text: FacultyMatch, cn against de. */
+  def render6(rows: Seq[SocialRow]): String =
+    renderSocial("Table 6: FacultyMatch", "TPR", "PPV", "cn", "de", rows)
+
   def renderSocial(title: String, h1: String, h2: String,
                    g: String, ref: String, rows: Seq[SocialRow]): String = {
     val sb = new StringBuilder
@@ -119,6 +130,32 @@ object Tables {
       }
     }
 
+  /** Table 7's text: one block per measure, a line per dataset in
+    * `datasets` and a column per matcher of `rows`, each column as wide as
+    * the longest matcher name plus two spaces. A refused cell (no row, as
+    * Dedupe on Cameras) prints `-`, as in Table 9.
+    */
+  def render7(datasets: Seq[String], rows: Seq[SensitivityRow]): String = {
+    val matchers = rows.map(_.matcher).distinct
+    val width = matchers.map(_.length).max + 2
+    def cell(text: String): String = text.padTo(width, ' ')
+    val sb = new StringBuilder
+    for (measure <- Seq("TPRP", "PPVP")) {
+      sb ++= f"%n== Table 7 ($measure sensitivity) ==%n"
+      sb ++= f"${"Dataset"}%-15s" + matchers.map(cell).mkString + f"%n"
+      for (d <- datasets) {
+        sb ++= f"$d%-15s"
+        for (m <- matchers) {
+          val v = rows.find(r => r.dataset == d && r.matcher == m)
+            .map(r => if (measure == "TPRP") r.tprpSens else r.ppvpSens)
+          sb ++= cell(v.fold("-")(x => f"$x%.1f"))
+        }
+        sb ++= f"%n"
+      }
+    }
+    sb.toString
+  }
+
   /** Table 7 datasets: iTunes-Amazon, Cameras, DBLP-ACM, DBLP-Scholar. */
   def table7Datasets(spark: SparkSession): Seq[EMDataset] =
     Seq("iTunes-Amazon", "Cameras", "DBLP-ACM", "DBLP-Scholar").map(dataset(spark, _))
@@ -140,6 +177,24 @@ object Tables {
         case None => CorrectnessRow(ds.name, m.name, m.kind, Double.NaN, Double.NaN)
       }
     }
+  }
+
+  /** Table 9's text: a line per matcher of `rows` and an `Acc / F-1` column
+    * per dataset in `datasets`; a refused cell (NaN) prints `-`.
+    */
+  def render9(datasets: Seq[String], rows: Seq[CorrectnessRow]): String = {
+    val sb = new StringBuilder
+    sb ++= f"%n== Table 9: Overall performance (Acc / F-1) ==%n"
+    sb ++= f"${"Matcher"}%-20s" + datasets.map(n => f"$n%-22s").mkString + f"%n"
+    for (m <- rows.map(_.matcher).distinct) {
+      sb ++= f"$m%-20s"
+      for (d <- datasets) {
+        val r = rows.find(r => r.dataset == d && r.matcher == m).get
+        sb ++= (if (r.acc.isNaN) f"${"-"}%-22s" else f"${f"${r.acc}%.2f / ${r.f1}%.2f"}%-22s")
+      }
+      sb ++= f"%n"
+    }
+    sb.toString
   }
 
   /** All eight datasets in Table 4 order, built once per session: every table
@@ -176,5 +231,15 @@ object Tables {
     }
     val ((tr, trPos), (te, tePos)) = (counts(ds.train), counts(ds.test))
     OverviewRow(ds.name, tr, te, 100.0 * (trPos + tePos) / (tr + te), ds.attrs.size, ds.sensitiveAttr)
+  }
+
+  /** Table 4's text: a line per dataset. */
+  def render4(rows: Seq[OverviewRow]): String = {
+    val sb = new StringBuilder
+    sb ++= f"%n== Table 4: Dataset overview (repo scale) ==%n"
+    sb ++= f"${"Name"}%-15s ${"Train"}%8s ${"Test"}%8s ${"%Pos"}%7s ${"#Attr"}%6s  Sens. Attr%n"
+    for (r <- rows)
+      sb ++= f"${r.dataset}%-15s ${r.train}%8d ${r.test}%8d ${r.posPct}%6.2f%% ${r.nAttrs}%6d  ${r.sensAttr}%n"
+    sb.toString
   }
 }

@@ -1,5 +1,7 @@
 package repro.eval
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Paths}
 import java.util.concurrent.atomic.AtomicInteger
 
 import org.apache.spark.sql.DataFrame
@@ -162,6 +164,45 @@ class TablesSpec extends SparkSpec {
       .linesIterator.toSeq(2)
     assert(line(-1e-9).endsWith("|      0.50      0.50   0.00   0.00 |      0.92      0.92   0.00   0.00"))
     assert(line(-0.006).endsWith("|      0.50      0.50  -0.01  -0.01 |      0.92      0.92  -0.01  -0.01"))
+  }
+
+  test("render7 prints a refused cell as -, in columns as wide as the longest matcher name plus two spaces") {
+    val rows = Seq(Tables.SensitivityRow("iTunes-Amazon", "DTMatcher", 1.2, 0.0),
+      Tables.SensitivityRow("iTunes-Amazon", "BooleanRuleMatcher", 0.0, 0.0),
+      Tables.SensitivityRow("Cameras", "DTMatcher", 2.0, 3.5))
+    val lines = Tables.render7(Seq("iTunes-Amazon", "Cameras"), rows).linesIterator.toSeq
+    def cell(text: String): String = text.padTo("BooleanRuleMatcher".length + 2, ' ')
+    assert(lines(2) == f"${"Dataset"}%-15s" + cell("DTMatcher") + "BooleanRuleMatcher  ")
+    assert(lines(3) == f"${"iTunes-Amazon"}%-15s" + cell("1.2") + cell("0.0"))
+    assert(lines(4) == f"${"Cameras"}%-15s" + cell("2.0") + cell("-"))
+    assert(lines(9) == f"${"Cameras"}%-15s" + cell("3.5") + cell("-"))
+  }
+
+  test("render9 prints a NaN cell as -, padded like a number cell") {
+    val rows = Seq(Tables.CorrectnessRow("Shoes", "Dedupe", MatcherKind.NonNeural, Double.NaN, Double.NaN),
+      Tables.CorrectnessRow("Cricket", "Dedupe", MatcherKind.NonNeural, 0.985, 0.5))
+    val line = Tables.render9(Seq("Shoes", "Cricket"), rows).linesIterator.toSeq(3)
+    assert(line == f"${"Dedupe"}%-20s" + "-".padTo(22, ' ') + "0.99 / 0.50".padTo(22, ' '))
+  }
+
+  test("each renderer, on rows with the committed tables' names, prints their reference headers") {
+    val datasets = Tables.allDatasets(spark).map(_.name)
+    val table7 = Seq("iTunes-Amazon", "Cameras", "DBLP-ACM", "DBLP-Scholar")
+    val matchers = Matchers.all
+    val social = matchers.map(m => Tables.SocialRow(m.name, m.kind, 0, 0, 0, 0, 0, 0, 0, 0))
+    val rendered = Map(
+      4 -> Tables.render4(datasets.map(Tables.OverviewRow(_, 0, 0, 0, 0, ""))),
+      5 -> Tables.render5(social),
+      6 -> Tables.render6(social),
+      7 -> Tables.render7(table7, for (d <- table7; m <- matchers) yield Tables.SensitivityRow(d, m.name, 0, 0)),
+      9 -> Tables.render9(datasets, for (d <- datasets; m <- matchers) yield Tables.CorrectnessRow(d, m.name, m.kind, 0, 0)))
+    // Every line but the data lines, which begin with a dataset or matcher name.
+    def headers(text: String): Seq[String] = text.linesIterator
+      .filterNot(l => (datasets ++ matchers.map(_.name)).exists(n => l.startsWith(n + " "))).toSeq
+    for ((n, text) <- rendered) {
+      val reference = new String(Files.readAllBytes(Paths.get("bench", "reference", s"Table$n.txt")), UTF_8)
+      assert(headers(text) == headers(reference), s"Table $n")
+    }
   }
 
   test("every table picks its datasets from one list per session") {

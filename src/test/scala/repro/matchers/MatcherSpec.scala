@@ -10,6 +10,7 @@ import repro.{AssembledCheck, SparkSpec}
 import repro.core._
 import repro.data.{EMBench, GenUtil, Social}
 import repro.data.GenUtil.PairRow
+import repro.eval.Tables
 import repro.matchers.neural._
 
 /** Behavioural unit tests for all 13 matchers on a small controlled dataset:
@@ -227,6 +228,24 @@ class MatcherSpec extends SparkSpec {
       val expected = bits(GnemReference)
       assert(expected.size == ds.test.count(), ds.name)
       assert(bits(GnemSim()) == expected, ds.name)
+    }
+  }
+
+  test("LinRegMatcher: its cube over every table τ equals a LinearRegression fit's, and its scores are bit-identical on iTunes-Amazon") {
+    for (ds <- Seq(EMBench.iTunesAmazon(spark), Social.facultyMatch(spark), EMBench.cricket(spark))) {
+      val (ours, ref) = (LinRegMatcher().fit(ds).scores(ds.test), LinRegReference.fit(ds).scores(ds.test))
+      def counts(scored: DataFrame) = {
+        val cube = ConfusionCube(scored, Tables.taus)
+        Tables.taus.map(t => (cube.overall(t), cube.counts(t, Lens.Single.keys), cube.counts(t, Lens.Pairwise.keys)))
+      }
+      assert(counts(ours) == counts(ref), ds.name)
+      // Cholesky succeeds here, so both run the same one least-squares pass.
+      if (ds.name == "iTunes-Amazon") {
+        def bits(scored: DataFrame): Seq[(Long, Long, Long)] = scored.select("id1", "id2", "score")
+          .collect().toSeq.map(r => (r.getLong(0), r.getLong(1), java.lang.Double.doubleToRawLongBits(r.getDouble(2))))
+          .sorted
+        assert(bits(ours) == bits(ref))
+      }
     }
   }
 
