@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.core.{Audit, ConfusionCube, Fairness, Lens}
-import repro.data.Social
+import repro.data.EMBench
 import repro.eval.{Tables => T}
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
@@ -43,27 +43,30 @@ object Tables {
   }
 }
 
-/** Full Algorithm-1 audit demo: discriminated groups of one matcher on one
-  * dataset under both lenses, all measures. Args: none (defaults) — a
-  * template for custom audits.
+/** Full Algorithm-1 audit demo: the discriminated groups of Ditto on
+  * iTunes-Amazon, whose sensitive attribute (genre) is setwise, under the
+  * single lens at levels 1 and 2 (genres, then pairs of genres a song
+  * carries together, §3.2.1) and under the pairwise lens, for all measures.
+  * Args: none — a template for custom audits.
   */
 object AuditDemo {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.session("audit-demo")
-    val ds = Social.facultyMatch(spark)
+    val ds = EMBench.iTunesAmazon(spark)
     val m = new repro.matchers.neural.DittoSim
-    val cube = ConfusionCube(m.fit(ds).scores(ds.test), Seq(0.5))
-    for (lens <- Seq(Lens.Single, Lens.Pairwise)) {
-      val res = Audit.fromCube(cube, 0.5, lens, Fairness.all, minSupport = 10)
-      println(s"== ${m.name} on ${ds.name} ($lens) ==")
+    val tau = T.thresholdFor(ds.name)
+    val cube = ConfusionCube(ds.fitted(m).get.scores(ds.test), Seq(tau))
+    for (lens <- Seq(Lens.Single(1), Lens.Single(2), Lens.Pairwise)) {
+      val res = Audit.fromCube(cube, tau, lens, Fairness.all)
+      println(s"== ${m.name} on ${ds.name} ($lens): ${res.cells.map(_.group).distinct.size} valid groups ==")
       for (measure <- Fairness.all) {
         val unfair = res.unfairGroups(measure)
         if (unfair.nonEmpty) println(f"  ${measure.abbrev}%-5s unfair for: ${unfair.mkString(", ")}")
       }
-      val eo = res.unfairGroupsEO()
+      val eo = res.unfairGroupsEO
       if (eo.nonEmpty) println(f"  EO    unfair for: ${eo.mkString(", ")}")
     }
-    println(s"overall confusion @0.5: ${cube.overall(0.5)}")
+    println(s"overall confusion @$tau: ${cube.overall(tau)}")
     spark.stop()
   }
 }

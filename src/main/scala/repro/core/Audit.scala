@@ -7,10 +7,19 @@ import org.apache.spark.sql.DataFrame
   * Given a scored test set (pairs + `score`), computes per-group measure
   * values under a lens, compares each against the overall (group-independent)
   * value via a disparity operator, and returns the discriminated groups —
-  * those whose disparity exceeds the fairness threshold τ (EEOC 20 % rule by
-  * default, §5.1.4).
+  * those whose disparity exceeds the fairness threshold [[Audit.tauFair]].
   */
 object Audit {
+
+  /** Groups with fewer legitimate pairs are not audited: only "valid groups"
+    * are (§5.1).
+    */
+  val minSupport: Long = 10
+
+  /** The fairness threshold on a subtraction disparity: the EEOC 20 % rule
+    * (§5.1.4).
+    */
+  val tauFair: Double = 0.2
 
   /** One audited (group, measure) cell. */
   final case class Cell(
@@ -22,48 +31,34 @@ object Audit {
       divDisparity: Option[Double],
       support: Long,
   ) {
-    def unfair(tau: Double): Boolean = subDisparity.exists(_ > tau)
+    def unfair: Boolean = subDisparity.exists(_ > tauFair)
   }
 
   final case class Result(tauMatch: Double, lens: Lens, cells: Seq[Cell]) {
-    /** Discriminated groups for a measure (subtraction disparity > τ). */
-    def unfairGroups(measure: Fairness.Measure, tauFair: Double = 0.2): Seq[String] =
-      cells.filter(c => c.measure == measure && c.unfair(tauFair)).map(_.group).distinct.sorted
+    /** Discriminated groups for a measure (subtraction disparity > [[tauFair]]). */
+    def unfairGroups(measure: Fairness.Measure): Seq[String] =
+      cells.filter(c => c.measure == measure && c.unfair).map(_.group).distinct.sorted
     /** Equalized Odds: union of TPRP- and FPRP-unfair groups (footnote 6). */
-    def unfairGroupsEO(tauFair: Double = 0.2): Seq[String] =
-      (unfairGroups(Fairness.TPRP, tauFair) ++ unfairGroups(Fairness.FPRP, tauFair)).distinct.sorted
+    def unfairGroupsEO: Seq[String] =
+      (unfairGroups(Fairness.TPRP) ++ unfairGroups(Fairness.FPRP)).distinct.sorted
   }
 
-  /** Runs the audit at one matching threshold. */
-  def run(
-      scored: DataFrame,
-      tauMatch: Double,
-      lens: Lens = Lens.Single,
-      measures: Seq[Fairness.Measure] = Fairness.all,
-      minSupport: Long = 10,
-  ): Result = fromCube(ConfusionCube(scored, Seq(tauMatch)), tauMatch, lens, measures, minSupport)
-
-  /** Threshold sweep: audits at each τ; used for the Table 7 sensitivity. */
-  def sweep(
-      scored: DataFrame,
-      taus: Seq[Double],
-      lens: Lens = Lens.Single,
-      measures: Seq[Fairness.Measure] = Fairness.all,
-      minSupport: Long = 10,
-  ): Seq[Result] = {
-    val cube = ConfusionCube(scored, taus)
-    taus.map(fromCube(cube, _, lens, measures, minSupport))
-  }
-
-  /** The audit at `tauMatch`, one of the thresholds `cube` was built for.
-    * Groups with fewer than `minSupport` legitimate pairs are skipped: only
-    * "valid groups" are audited (§5.1).
+  /** Threshold sweep under the level-1 single lens, one [[ConfusionCube]]
+    * pass. Kept only because the benchmark's staged pass calls it; once it
+    * reads a cube directly, it goes.
     */
-  def fromCube(cube: ConfusionCube, tauMatch: Double, lens: Lens,
-               measures: Seq[Fairness.Measure], minSupport: Long): Result = {
+  def sweep(scored: DataFrame, taus: Seq[Double], measures: Seq[Fairness.Measure] = Fairness.all): Seq[Result] = {
+    val cube = ConfusionCube(scored, taus)
+    taus.map(fromCube(cube, _, Lens.Single(1), measures))
+  }
+
+  /** The audit at `tauMatch`, one of the thresholds `cube` was built for,
+    * of every key of `lens` with at least [[minSupport]] legitimate pairs.
+    */
+  def fromCube(cube: ConfusionCube, tauMatch: Double, lens: Lens, measures: Seq[Fairness.Measure]): Result = {
     val overall = cube.overall(tauMatch)
     val cells = for {
-      (g, conf) <- cube.counts(tauMatch, lens.keys).toSeq.sortBy(_._1)
+      (g, conf) <- cube.counts(tauMatch, lens).toSeq.sortBy(_._1)
       if conf.total >= minSupport
       m <- measures
     } yield {
@@ -79,12 +74,8 @@ object Audit {
   /** Table 7's threshold sensitivity: the ℓ2 norm of the differences in the
     * number of unfair groups between adjacent matching thresholds.
     */
-  def thresholdSensitivity(
-      results: Seq[Result],
-      measure: Fairness.Measure,
-      tauFair: Double = 0.2,
-  ): Double = {
-    val counts = results.map(_.unfairGroups(measure, tauFair).size)
+  def thresholdSensitivity(results: Seq[Result], measure: Fairness.Measure): Double = {
+    val counts = results.map(_.unfairGroups(measure).size)
     math.sqrt(counts.sliding(2).collect { case Seq(a, b) => (b - a).toDouble * (b - a) }.sum)
   }
 

@@ -12,44 +12,57 @@ final case class Confusion(tp: Long, fp: Long, tn: Long, fn: Long) {
 object Confusion { val zero: Confusion = Confusion(0, 0, 0, 0) }
 
 /** The auditing lens (§3.2.2) as the keys a pair with left/right group sets
-  * (g1, g2) is legitimate for: single — every level-1 group of either record;
-  * pairwise — the unordered group pair "g|g'" (g <= g') of every left-record
-  * group g with every right-record group g'.
+  * (g1, g2) is legitimate for: single at level k — every level-k subgroup
+  * (k level-1 groups, sorted and `&`-joined, e.g. "Female&Pop") that either
+  * record's group set covers (§3.2.1, Fig 1); level 1 is the groups
+  * themselves. Pairwise — the unordered group pair "g|g'" (g <= g') of every
+  * left-record group g with every right-record group g'.
   */
-sealed abstract class Lens(val keys: (Seq[String], Seq[String]) => Iterable[String])
+sealed abstract class Lens { def keys(g1: Seq[String], g2: Seq[String]): Set[String] }
 object Lens {
-  case object Single extends Lens(_ ++ _)
-  case object Pairwise extends Lens((g1, g2) => for (a <- g1; b <- g2) yield if (a <= b) s"$a|$b" else s"$b|$a")
+  final case class Single(level: Int) extends Lens {
+    def keys(g1: Seq[String], g2: Seq[String]): Set[String] = (subgroups(g1) ++ subgroups(g2)).toSet
+    private def subgroups(g: Seq[String]): Iterator[String] = g.distinct.sorted.combinations(level).map(_.mkString("&"))
+  }
+  case object Pairwise extends Lens {
+    def keys(g1: Seq[String], g2: Seq[String]): Set[String] =
+      (for (a <- g1; b <- g2) yield if (a <= b) s"$a|$b" else s"$b|$a").toSet
+  }
 }
 
 /** The confusion cube of one scored frame: pair counts by (left group set,
-  * right group set, label, τ-bucket) from one [[Counts]] job. Overall, lens,
-  * subgroup and per-τ counts are Scala projections of it (Appendix B: a
-  * pair's result counts for the groups of BOTH records).
+  * right group set, label, τ-bucket) from one [[Counts]] job. Overall, lens
+  * (groups, level-k subgroups, group pairs) and per-τ counts are Scala
+  * projections of it (Appendix B: a pair's result counts for the groups of
+  * BOTH records).
   *
   * Input schema: `g1 array<string>`, `g2 array<string>`, `label int`,
   * `score double`. A pair is a match at τ iff Spark's `score >= τ` holds.
   */
 final class ConfusionCube private (grid: IndexedSeq[Double], cells: Seq[ConfusionCube.Cell]) {
 
-  /** Confusion at grid value `tau` per key; a pair counts once per distinct key in `keysOf(g1, g2)`. */
-  def counts(tau: Double, keysOf: (Seq[String], Seq[String]) => Iterable[String]): Map[String, Confusion] = {
-    val i = grid.indexOf(tau)
-    require(i >= 0, s"τ $tau is not in the cube's grid ${grid.mkString(", ")}")
+  /** Confusion at grid value `tau` per key of `lens`; a pair counts once per
+    * distinct key it is legitimate for, and only keys some pair has occur.
+    */
+  def counts(tau: Double, lens: Lens): Map[String, Confusion] = {
+    val i = index(tau)
     cells.foldLeft(Map.empty[String, Confusion]) { (acc, c) =>
       val conf = c.confusion(matched = c.bucket > i)
-      keysOf(c.g1, c.g2).toSet.foldLeft(acc)((m, k) => m.updated(k, m.getOrElse(k, Confusion.zero) + conf))
+      lens.keys(c.g1, c.g2).foldLeft(acc)((m, k) => m.updated(k, m.getOrElse(k, Confusion.zero) + conf))
     }
   }
 
   /** Overall confusion over all pairs (group-independent reference of Eq 1). */
-  def overall(tau: Double): Confusion =
-    counts(tau, (_, _) => Seq("")).getOrElse("", Confusion.zero)
+  def overall(tau: Double): Confusion = {
+    val i = index(tau)
+    cells.foldLeft(Confusion.zero)((acc, c) => acc + c.confusion(matched = c.bucket > i))
+  }
 
-  /** Confusion for a subgroup (any level) under the single lens. */
-  def forSubgroup(tau: Double, sg: GroupEncoding.Subgroup): Confusion =
-    counts(tau, (g1, g2) => if (sg.contains(g1) || sg.contains(g2)) Seq(sg.key) else Nil)
-      .getOrElse(sg.key, Confusion.zero)
+  private def index(tau: Double): Int = {
+    val i = grid.indexOf(tau)
+    require(i >= 0, s"τ $tau is not in the cube's grid ${grid.mkString(", ")}")
+    i
+  }
 }
 
 object ConfusionCube {
@@ -80,13 +93,12 @@ object ConfusionCube {
   }
 }
 
-/** Confusion counts of a scored frame at one τ, one [[ConfusionCube]] pass per call. */
+/** Confusion counts of a scored frame at one τ, one [[ConfusionCube]] pass per
+  * call. Kept only because the benchmark's staged pass calls them; once it
+  * reads a cube directly, they go.
+  */
 object ConfusionCounts {
   def overall(scored: DataFrame, tau: Double): Confusion = ConfusionCube(scored, Seq(tau)).overall(tau)
   def single(scored: DataFrame, tau: Double): Map[String, Confusion] =
-    ConfusionCube(scored, Seq(tau)).counts(tau, Lens.Single.keys)
-  def pairwise(scored: DataFrame, tau: Double): Map[String, Confusion] =
-    ConfusionCube(scored, Seq(tau)).counts(tau, Lens.Pairwise.keys)
-  def forSubgroup(scored: DataFrame, tau: Double, sg: GroupEncoding.Subgroup): Confusion =
-    ConfusionCube(scored, Seq(tau)).forSubgroup(tau, sg)
+    ConfusionCube(scored, Seq(tau)).counts(tau, Lens.Single(1))
 }

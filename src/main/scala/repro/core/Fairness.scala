@@ -59,9 +59,6 @@ object Fairness {
     */
   val all: Seq[Measure] = Seq(AP, SP, TPRP, FPRP, FNRP, TNRP, PPVP, NPVP, FDRP, FORP)
 
-  def byAbbrev(a: String): Measure = all.find(_.abbrev == a).getOrElse(
-    throw new IllegalArgumentException(s"unknown measure $a (EO is derived from TPRP∪FPRP)"))
-
   // ------------------------------------------------------------------
   // Disparity vs the overall (group-independent) probability — Eq 1 / Eq 3.
   // Both clamp at 0: a group doing *better* than overall is not unfairness.

@@ -63,7 +63,7 @@ object Tables {
       matchers: Seq[Matcher] = Matchers.all): Seq[SocialRow] = {
     matchers.flatMap { m =>
       cube(ds, m).map { c =>
-        val byGroup = c.counts(thresholdFor(ds.name), Lens.Single.keys)
+        val byGroup = c.counts(thresholdFor(ds.name), Lens.Single(1))
         def v(measure: Fairness.Measure, g: String): Double =
           byGroup.get(g).flatMap(measure.value).getOrElse(Double.NaN)
         val (g1, r1) = (v(measure1, auditedGroup), v(measure1, referenceGroup))
@@ -123,7 +123,7 @@ object Tables {
     matchers.flatMap { m =>
       cube(ds, m).map { c =>
         val results = sweepTaus.map(
-          Audit.fromCube(c, _, Lens.Single, Seq(Fairness.TPRP, Fairness.PPVP), minSupport = 10))
+          Audit.fromCube(c, _, Lens.Single(1), Seq(Fairness.TPRP, Fairness.PPVP)))
         SensitivityRow(ds.name, m.name,
           Audit.thresholdSensitivity(results, Fairness.TPRP),
           Audit.thresholdSensitivity(results, Fairness.PPVP))

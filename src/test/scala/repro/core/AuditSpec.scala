@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{SparkSpec, TestPairs}
 
 /** Algorithm 1 (audit loop), threshold sweeps, and sensitivity. */
@@ -17,42 +19,46 @@ class AuditSpec extends SparkSpec {
       if (i < 2) 0.9 else 0.1)) ++
     (0 until 10).map(i => ((60 + i).toLong, (160 + i).toLong, Seq("b"), Seq("b"), 0, 0.1)))
 
+  /** Algorithm 1 over `scored` at `tau` under `lens`, all measures. */
+  private def audit(scored: DataFrame, tau: Double, lens: Lens = Lens.Single(1)): Audit.Result =
+    Audit.fromCube(ConfusionCube(scored, Seq(tau)), tau, lens, Fairness.all)
+
   test("audit flags the disadvantaged group under TPRP") {
-    val res = Audit.run(biased, 0.5)
+    val res = audit(biased, 0.5)
     assert(res.unfairGroups(Fairness.TPRP) == Seq("b"))
   }
   test("audit does not flag the advantaged group") {
-    val res = Audit.run(biased, 0.5)
+    val res = audit(biased, 0.5)
     assert(!res.unfairGroups(Fairness.TPRP).contains("a"))
   }
   test("audit cell values: TPR of b is 0.2, overall 0.6") {
-    val res = Audit.run(biased, 0.5)
+    val res = audit(biased, 0.5)
     val cell = res.cells.find(c => c.group == "b" && c.measure == Fairness.TPRP).get
     assert(cell.groupValue.contains(0.2) && cell.overall.contains(0.6))
     assert(cell.subDisparity.exists(d => math.abs(d - 0.4) < 1e-12))
   }
   test("fair measures are not flagged (FPRP here)") {
-    val res = Audit.run(biased, 0.5)
+    val res = audit(biased, 0.5)
     assert(res.unfairGroups(Fairness.FPRP).isEmpty)
   }
   test("EO = union of TPRP and FPRP unfair groups") {
-    val res = Audit.run(biased, 0.5)
-    assert(res.unfairGroupsEO() == Seq("b"))
+    val res = audit(biased, 0.5)
+    assert(res.unfairGroupsEO == Seq("b"))
   }
   test("minSupport filters tiny groups") {
     val withTiny = TestPairs.scored(spark, Seq(
       (1L, 2L, Seq("tiny"), Seq("tiny"), 1, 0.0))) // 1 pair only
-    val res = Audit.run(withTiny.union(biased), 0.5, minSupport = 10)
+    val res = audit(withTiny.union(biased), 0.5)
     assert(!res.cells.exists(_.group == "tiny"))
   }
   test("pairwise lens audit produces pair keys") {
-    val res = Audit.run(biased, 0.5, lens = Lens.Pairwise)
+    val res = audit(biased, 0.5, Lens.Pairwise)
     assert(res.cells.forall(_.group.contains("|")))
     assert(res.unfairGroups(Fairness.TPRP) == Seq("b|b"))
   }
 
   test("audit at a stricter threshold flips predictions") {
-    val res = Audit.run(biased, 0.95) // nothing predicted match
+    val res = audit(biased, 0.95) // nothing predicted match
     val cell = res.cells.find(c => c.group == "a" && c.measure == Fairness.TPRP).get
     assert(cell.groupValue.contains(0.0))
   }
@@ -80,10 +86,13 @@ class AuditSpec extends SparkSpec {
     assert(Audit.thresholdSensitivity(sw, Fairness.TPRP) == 1.0)
   }
   test("sensitivity is the l2 norm of successive differences") {
-    val counts = Seq(0, 2, 2, 5) // diffs 2,0,3 -> sqrt(13)
-    // emulate with hand-built results is overkill; check the formula directly
-    val d = math.sqrt(counts.sliding(2).collect { case Seq(a, b) => math.pow(b - a, 2).toDouble }.sum)
-    assert(math.abs(d - math.sqrt(13)) < 1e-12)
+    // n TPRP-unfair groups, beside a TPRP-fair group and a PPVP-unfair one.
+    def result(n: Int): Audit.Result = Audit.Result(0.5, Lens.Single(1),
+      (0 until n).map(i => Audit.Cell(s"u$i", Fairness.TPRP, Some(0.9), Some(0.5), Some(0.4), Some(0.44), 10)) ++ Seq(
+        Audit.Cell("fair", Fairness.TPRP, Some(0.9), Some(0.8), Some(0.1), Some(0.11), 10),
+        Audit.Cell("ppv", Fairness.PPVP, Some(0.9), Some(0.5), Some(0.4), Some(0.44), 10)))
+    val results = Seq(0, 2, 2, 5).map(result) // differences 2, 0, 3 -> sqrt(13)
+    assert(math.abs(Audit.thresholdSensitivity(results, Fairness.TPRP) - math.sqrt(13)) < 1e-12)
   }
 
   test("accuracy and F1 utilities") {

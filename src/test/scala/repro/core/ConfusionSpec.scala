@@ -4,42 +4,49 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.{AnyOperators, propBoolean}
 import org.scalacheck.rng.Seed
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{SparkSpec, TestPairs, Oracle}
 
-/** Confusion aggregation under single/pairwise lenses, including the
-  * Appendix B worked example and DuckDB oracle cross-checks.
+/** Confusion aggregation under the single lens (groups and level-k
+  * subgroups) and the pairwise lens, including the Appendix B worked example
+  * and DuckDB oracle cross-checks.
   */
 class ConfusionSpec extends SparkSpec {
 
   private lazy val appB = TestPairs.appendixB(spark)
 
+  private def overall(df: DataFrame, tau: Double): Confusion = ConfusionCube(df, Seq(tau)).overall(tau)
+  private def counts(df: DataFrame, tau: Double, lens: Lens): Map[String, Confusion] =
+    ConfusionCube(df, Seq(tau)).counts(tau, lens)
+
   test("overall confusion of the Appendix B example") {
-    assert(ConfusionCounts.overall(appB, 0.5) == Confusion(1, 1, 1, 1))
+    assert(overall(appB, 0.5) == Confusion(1, 1, 1, 1))
   }
 
   test("Appendix B: confusion matrix of g1 (Figure 15b)") {
-    val m = ConfusionCounts.single(appB, 0.5)
+    val m = counts(appB, 0.5, Lens.Single(1))
     assert(m("g1") == Confusion(1, 1, 1, 1))
   }
   test("Appendix B: confusion matrix of g2 (Figure 15c)") {
-    val m = ConfusionCounts.single(appB, 0.5)
+    val m = counts(appB, 0.5, Lens.Single(1))
     assert(m("g2") == Confusion(0, 0, 1, 1))
   }
   test("single lens counts a pair once even when both records are in the group") {
     // pair (1,2) has g1 on both sides; total over g1 must be 4, not 5
-    assert(ConfusionCounts.single(appB, 0.5)("g1").total == 4)
+    assert(counts(appB, 0.5, Lens.Single(1))("g1").total == 4)
   }
   test("single lens legitimacy: pair counted for either side's group") {
-    val m = ConfusionCounts.single(appB, 0.5)
+    val m = counts(appB, 0.5, Lens.Single(1))
     assert(m("g2").total == 2) // pairs (3,4) and (2,3)
   }
 
   test("pairwise lens keys are unordered") {
-    val m = ConfusionCounts.pairwise(appB, 0.5)
+    val m = counts(appB, 0.5, Lens.Pairwise)
     assert(m.contains("g1|g2") && !m.contains("g2|g1"))
   }
   test("pairwise lens of Appendix B example") {
-    val m = ConfusionCounts.pairwise(appB, 0.5)
+    val m = counts(appB, 0.5, Lens.Pairwise)
     assert(m("g1|g1") == Confusion(1, 1, 0, 0)) // pairs (1,2) FP and (1,4) TP
     assert(m("g1|g2") == Confusion(0, 0, 1, 1)) // pairs (3,4) TN and (2,3) FN
   }
@@ -48,22 +55,22 @@ class ConfusionSpec extends SparkSpec {
     val df = TestPairs.scored(spark, Seq(
       (1L, 2L, Seq("a"), Seq("a"), 1, 0.5),
       (3L, 4L, Seq("a"), Seq("a"), 1, 0.49)))
-    assert(ConfusionCounts.overall(df, 0.5) == Confusion(1, 0, 0, 1))
-    assert(ConfusionCounts.overall(df, 0.4) == Confusion(2, 0, 0, 0))
-    assert(ConfusionCounts.overall(df, 0.6) == Confusion(0, 0, 0, 2))
+    assert(overall(df, 0.5) == Confusion(1, 0, 0, 1))
+    assert(overall(df, 0.4) == Confusion(2, 0, 0, 0))
+    assert(overall(df, 0.6) == Confusion(0, 0, 0, 2))
   }
 
   test("setwise groups: a multi-genre record contributes to every genre") {
     val df = TestPairs.scored(spark, Seq(
       (1L, 2L, Seq("Pop", "Rock"), Seq("Jazz"), 1, 1.0)))
-    val m = ConfusionCounts.single(df, 0.5)
+    val m = counts(df, 0.5, Lens.Single(1))
     assert(m.keySet == Set("Pop", "Rock", "Jazz"))
     assert(m.values.forall(_ == Confusion(1, 0, 0, 0)))
   }
   test("setwise pairwise: all cross combinations, deduplicated") {
     val df = TestPairs.scored(spark, Seq(
       (1L, 2L, Seq("Pop", "Rock"), Seq("Pop"), 0, 1.0)))
-    val m = ConfusionCounts.pairwise(df, 0.5)
+    val m = counts(df, 0.5, Lens.Pairwise)
     assert(m.keySet == Set("Pop|Pop", "Pop|Rock"))
     assert(m("Pop|Rock").fp == 1)
   }
@@ -71,27 +78,48 @@ class ConfusionSpec extends SparkSpec {
   test("pairwise lens counts genuinely repeated pairs, as single and overall do") {
     val row = (1L, 2L, Seq("a"), Seq("b"), 1, 1.0)
     val df = TestPairs.scored(spark, Seq(row, row))
-    assert(ConfusionCounts.pairwise(df, 0.5) == Map("a|b" -> Confusion(2, 0, 0, 0)))
-    assert(ConfusionCounts.single(df, 0.5)("a") == Confusion(2, 0, 0, 0))
-    assert(ConfusionCounts.overall(df, 0.5) == Confusion(2, 0, 0, 0))
+    assert(counts(df, 0.5, Lens.Pairwise) == Map("a|b" -> Confusion(2, 0, 0, 0)))
+    assert(counts(df, 0.5, Lens.Single(1))("a") == Confusion(2, 0, 0, 0))
+    assert(overall(df, 0.5) == Confusion(2, 0, 0, 0))
   }
 
   test("an empty frame counts nothing") {
     val df = TestPairs.scored(spark, Nil)
-    assert(ConfusionCounts.overall(df, 0.5) == Confusion(0, 0, 0, 0))
-    assert(ConfusionCounts.single(df, 0.5).isEmpty && ConfusionCounts.pairwise(df, 0.5).isEmpty)
+    assert(overall(df, 0.5) == Confusion(0, 0, 0, 0))
+    assert(counts(df, 0.5, Lens.Single(1)).isEmpty && counts(df, 0.5, Lens.Pairwise).isEmpty)
   }
 
-  test("forSubgroup restricts to legitimate pairs of a level-2 subgroup") {
+  test("level-2 single lens counts a pair for each subgroup either record covers") {
     val df = TestPairs.scored(spark, Seq(
       (1L, 2L, Seq("Pop", "Female"), Seq("Jazz"), 1, 1.0),
       (3L, 4L, Seq("Pop", "Male"), Seq("Jazz"), 1, 1.0)))
-    val sg = GroupEncoding.Subgroup(Set("Pop", "Female"))
-    assert(ConfusionCounts.forSubgroup(df, 0.5, sg) == Confusion(1, 0, 0, 0))
+    assert(counts(df, 0.5, Lens.Single(2)) ==
+      Map("Female&Pop" -> Confusion(1, 0, 0, 0), "Male&Pop" -> Confusion(1, 0, 0, 0)))
   }
-  test("forSubgroup of an absent subgroup is empty") {
+  test("level-2 single lens has no key when no record holds two groups") {
     val df = TestPairs.scored(spark, Seq((1L, 2L, Seq("a"), Seq("b"), 1, 1.0)))
-    assert(ConfusionCounts.forSubgroup(df, 0.5, GroupEncoding.Subgroup(Set("zz"))).total == 0)
+    assert(counts(df, 0.5, Lens.Single(2)).isEmpty)
+  }
+
+  test("level-2 membership: a record covers a subgroup it holds every group of (Example of Fig 1)") {
+    val femalePop = "Female&Pop"
+    assert(Lens.Single(2).keys(Seq("Female", "Pop", "Rock"), Nil).contains(femalePop))
+    assert(!Lens.Single(2).keys(Seq("Female", "Rock"), Nil).contains(femalePop))
+    assert(Lens.Single(2).keys(Seq("Pop"), Nil).isEmpty)
+  }
+  test("a level-k subgroup key is its groups sorted and &-joined") {
+    assert(Lens.Single(2).keys(Seq("Pop", "Female"), Nil) == Set("Female&Pop"))
+  }
+  test("only the level-2 subgroups that occur in the data get a key") {
+    val df = TestPairs.scored(spark, Seq(
+      (1L, 2L, Seq("Female", "Pop"), Seq("Male", "Rock"), 1, 1.0),
+      (3L, 4L, Seq("Female", "Rock"), Seq("Female", "Rock"), 0, 0.0)))
+    // Male&Pop and Pop&Rock: no record holds the two groups together.
+    assert(counts(df, 0.5, Lens.Single(2)).keySet == Set("Female&Pop", "Female&Rock", "Male&Rock"))
+  }
+  test("at level 1 the single lens keys are the groups present") {
+    val df = TestPairs.scored(spark, Seq((1L, 2L, Seq("a"), Seq("a"), 1, 1.0), (3L, 4L, Seq("b"), Seq("b"), 0, 0.0)))
+    assert(counts(df, 0.5, Lens.Single(1)).keySet == Set("a", "b"))
   }
 
   // ---- DuckDB oracle cross-checks ----
@@ -105,7 +133,7 @@ class ConfusionSpec extends SparkSpec {
       (i.toLong, (1000 + i).toLong, Seq(gl), Seq(gr), rnd.nextInt(2), rnd.nextDouble())
     }
     val df = TestPairs.scored(spark, rows)
-    val m = ConfusionCounts.single(df, 0.5)
+    val m = counts(df, 0.5, Lens.Single(1))
     val sparkRes = spark.createDataFrame(
       m.toSeq.map { case (g, c) => (g, c.tp, c.fp, c.tn, c.fn) }
     ).toDF("grp", "tp", "fp", "tn", "fn")
@@ -136,7 +164,7 @@ class ConfusionSpec extends SparkSpec {
       (i.toLong, (1000 + i).toLong, Seq("g"), Seq("g"), rnd.nextInt(2), rnd.nextDouble())
     }
     val df = TestPairs.scored(spark, rows)
-    val c = ConfusionCounts.overall(df, 0.7)
+    val c = overall(df, 0.7)
     val sparkRes = spark.createDataFrame(Seq((c.tp, c.fp, c.tn, c.fn))).toDF("tp", "fp", "tn", "fn")
     val flat = df.withColumn("pred", when(col("score") >= 0.7, 1).otherwise(0))
       .select("pred", "label")
@@ -162,7 +190,7 @@ class ConfusionSpec extends SparkSpec {
     }
     val cube = ConfusionCube(TestPairs.scored(spark, rows), taus)
     val sparkRes = spark.createDataFrame(
-      for (t <- taus; (k, c) <- cube.counts(t, Lens.Pairwise.keys).toSeq) yield (t, k, c.tp, c.fp, c.tn, c.fn)
+      for (t <- taus; (k, c) <- cube.counts(t, Lens.Pairwise).toSeq) yield (t, k, c.tp, c.fp, c.tn, c.fn)
     ).toDF("tau", "grp", "tp", "fp", "tn", "fn")
     // One row per (pair, side, group), flattened in plain Scala.
     val flat = spark.createDataFrame(rows.zipWithIndex.flatMap { case ((_, _, g1, g2, y, s), p) =>
@@ -206,8 +234,8 @@ class ConfusionSpec extends SparkSpec {
 
   test("property: every cube projection equals a brute-force count at every threshold") {
     val universe = Seq("a", "b", "c", "d")
-    val subgroups = GroupEncoding.hierarchy(universe, 2)
     val pairKeys = for (a <- universe; b <- universe if a <= b) yield s"$a|$b"
+    val subgroupKeys = for (a <- universe; b <- universe if a < b) yield s"$a&$b"
     val groupSet = Gen.choose(0, 3).flatMap(k => Gen.pick(k, universe)).map(_.toSeq)
     val cases = for {
       taus <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 20).map(_ * 0.05)))
@@ -225,17 +253,18 @@ class ConfusionSpec extends SparkSpec {
         val ref = bruteForce(rows, t) _
         Seq(
           (cube.overall(t) ?= ref(_ => true)) :| s"overall τ=$t",
-          (cube.counts(t, Lens.Single.keys) ?= bruteByKey(rows, t, universe) { (r, g) =>
+          (cube.counts(t, Lens.Single(1)) ?= bruteByKey(rows, t, universe) { (r, g) =>
             r._3.contains(g) || r._4.contains(g)
           }) :| s"single τ=$t",
-          (cube.counts(t, Lens.Pairwise.keys) ?= bruteByKey(rows, t, pairKeys) { (r, k) =>
+          (cube.counts(t, Lens.Pairwise) ?= bruteByKey(rows, t, pairKeys) { (r, k) =>
             val Array(a, b) = k.split('|')
             (r._3.contains(a) && r._4.contains(b)) || (r._3.contains(b) && r._4.contains(a))
           }) :| s"pairwise τ=$t",
-        ) ++ subgroups.map { sg =>
-          (cube.forSubgroup(t, sg) ?= ref(r => sg.groups.subsetOf(r._3.toSet) || sg.groups.subsetOf(r._4.toSet))) :|
-            s"subgroup ${sg.key} τ=$t"
-        }
+          (cube.counts(t, Lens.Single(2)) ?= bruteByKey(rows, t, subgroupKeys) { (r, k) =>
+            val sg = k.split('&').toSet
+            sg.subsetOf(r._3.toSet) || sg.subsetOf(r._4.toSet)
+          }) :| s"level-2 single τ=$t",
+        )
       }: _*)
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(2023L)), prop)
@@ -246,7 +275,6 @@ class ConfusionSpec extends SparkSpec {
     import org.apache.spark.sql.Row
     import org.apache.spark.sql.types._
     val universe = Seq("a", "b", "c")
-    val subgroups = GroupEncoding.hierarchy(universe, 2)
     val groupSet = Gen.choose(0, 3).flatMap(k => Gen.pick(k, universe)).map(_.toSeq)
     val grids = Gen.frequency(
       4 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 20).map(_ * 0.05))),
@@ -272,9 +300,10 @@ class ConfusionSpec extends SparkSpec {
         val one = ConfusionCube(df, Seq(t))
         Seq(
           (wide.overall(t) ?= one.overall(t)) :| s"overall τ=$t",
-          (wide.counts(t, Lens.Single.keys) ?= one.counts(t, Lens.Single.keys)) :| s"single τ=$t",
-          (wide.counts(t, Lens.Pairwise.keys) ?= one.counts(t, Lens.Pairwise.keys)) :| s"pairwise τ=$t",
-        ) ++ subgroups.map(sg => (wide.forSubgroup(t, sg) ?= one.forSubgroup(t, sg)) :| s"subgroup ${sg.key} τ=$t")
+          (wide.counts(t, Lens.Single(1)) ?= one.counts(t, Lens.Single(1))) :| s"single τ=$t",
+          (wide.counts(t, Lens.Pairwise) ?= one.counts(t, Lens.Pairwise)) :| s"pairwise τ=$t",
+          (wide.counts(t, Lens.Single(2)) ?= one.counts(t, Lens.Single(2))) :| s"level-2 single τ=$t",
+        )
       }: _*)
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(2024L)), prop)

@@ -43,12 +43,6 @@ class FairnessSpec extends AnyFunSuite {
     assert(TPRP.direction == HigherBetter && PPVP.direction == HigherBetter)
     assert(FDRP.direction == LowerBetter && FNRP.direction == LowerBetter && FPRP.direction == LowerBetter)
   }
-  test("byAbbrev resolves all measures") {
-    assert(all.forall(m => byAbbrev(m.abbrev) == m))
-  }
-  test("byAbbrev rejects EO (derived measure)") {
-    intercept[IllegalArgumentException](byAbbrev("EO"))
-  }
   test("there are 10 base measures (EO derived from TPRP∪FPRP)") {
     assert(all.size == 10)
   }

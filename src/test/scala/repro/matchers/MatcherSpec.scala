@@ -236,7 +236,7 @@ class MatcherSpec extends SparkSpec {
       val (ours, ref) = (LinRegMatcher().fit(ds).scores(ds.test), LinRegReference.fit(ds).scores(ds.test))
       def counts(scored: DataFrame) = {
         val cube = ConfusionCube(scored, Tables.taus)
-        Tables.taus.map(t => (cube.overall(t), cube.counts(t, Lens.Single.keys), cube.counts(t, Lens.Pairwise.keys)))
+        Tables.taus.map(t => (cube.overall(t), cube.counts(t, Lens.Single(1)), cube.counts(t, Lens.Pairwise)))
       }
       assert(counts(ours) == counts(ref), ds.name)
       // Cholesky succeeds here, so both run the same one least-squares pass.
