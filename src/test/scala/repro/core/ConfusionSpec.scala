@@ -101,27 +101,6 @@ class ConfusionSpec extends SparkSpec {
     assert(counts(df, 0.5, Lens.Single(2)).isEmpty)
   }
 
-  test("level-2 membership: a record covers a subgroup it holds every group of (Example of Fig 1)") {
-    val femalePop = "Female&Pop"
-    assert(Lens.Single(2).keys(Seq("Female", "Pop", "Rock"), Nil).contains(femalePop))
-    assert(!Lens.Single(2).keys(Seq("Female", "Rock"), Nil).contains(femalePop))
-    assert(Lens.Single(2).keys(Seq("Pop"), Nil).isEmpty)
-  }
-  test("a level-k subgroup key is its groups sorted and &-joined") {
-    assert(Lens.Single(2).keys(Seq("Pop", "Female"), Nil) == Set("Female&Pop"))
-  }
-  test("only the level-2 subgroups that occur in the data get a key") {
-    val df = TestPairs.scored(spark, Seq(
-      (1L, 2L, Seq("Female", "Pop"), Seq("Male", "Rock"), 1, 1.0),
-      (3L, 4L, Seq("Female", "Rock"), Seq("Female", "Rock"), 0, 0.0)))
-    // Male&Pop and Pop&Rock: no record holds the two groups together.
-    assert(counts(df, 0.5, Lens.Single(2)).keySet == Set("Female&Pop", "Female&Rock", "Male&Rock"))
-  }
-  test("at level 1 the single lens keys are the groups present") {
-    val df = TestPairs.scored(spark, Seq((1L, 2L, Seq("a"), Seq("a"), 1, 1.0), (3L, 4L, Seq("b"), Seq("b"), 0, 0.0)))
-    assert(counts(df, 0.5, Lens.Single(1)).keySet == Set("a", "b"))
-  }
-
   // ---- DuckDB oracle cross-checks ----
 
   test("oracle: single-lens per-group confusion matches DuckDB aggregation") {

@@ -1,77 +1,36 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestPairs}
 
-class GroupEncodingSpec extends AnyFunSuite {
-  import GroupEncoding._
+/** How the single lens encodes a record's groups as subgroup keys
+  * (§3.2.1, Fig 1): a level-k key is k groups the record holds, sorted and
+  * `&`-joined, and only subgroups some record holds get a key.
+  */
+class GroupEncodingSpec extends SparkSpec {
 
-  private val universe = Seq("Female", "Male", "Jazz", "Pop", "Rock")
+  private def counts(df: org.apache.spark.sql.DataFrame, lens: Lens): Map[String, Confusion] =
+    ConfusionCube(df, Seq(0.5)).counts(0.5, lens)
 
-  test("level-1 subgroups are the singleton groups") {
-    assert(level(universe, 1).map(_.groups) ==
-      universe.sorted.map(Set(_)))
-  }
-  test("level-2 subgroup count is C(5,2)=10") {
-    assert(level(universe, 2).size == 10)
-  }
-  test("level-3 subgroup count is C(5,3)=10") {
-    assert(level(universe, 3).size == 10)
-  }
-  test("hierarchy up to level 2 has 5+10 subgroups") {
-    assert(hierarchy(universe, 2).size == 15)
-  }
-  test("duplicate groups in the universe are collapsed") {
-    assert(level(Seq("a", "a", "b"), 1).size == 2)
-  }
-  test("subgroup level equals its cardinality") {
-    assert(Subgroup(Set("Female", "Pop")).level == 2)
-  }
   test("subgroup key is sorted and &-joined") {
-    assert(Subgroup(Set("Pop", "Female")).key == "Female&Pop")
+    assert(Lens.Single(2).keys(Seq("Pop", "Female"), Nil) == Set("Female&Pop"))
   }
 
   test("membership: record covers the subgroup (Example of Fig 1)") {
-    val femalePop = Subgroup(Set("Female", "Pop"))
-    assert(femalePop.contains(Seq("Female", "Pop", "Rock")))
-    assert(!femalePop.contains(Seq("Female", "Rock")))
-    assert(!femalePop.contains(Seq("Pop")))
-  }
-
-  test("Appendix A Example 4: entity encoding") {
-    // universe sorted: Female, Jazz, Male, Pop, Rock (lexicographic)
-    val e = encode(Seq("Female", "Male", "Jazz", "Pop", "Rock"), Set("Female", "Pop", "Rock"))
-    assert(e.toSeq == Seq(1, 0, 0, 1, 1))
-  }
-  test("Appendix A Example 4: subgroup encoding") {
-    val s = encode(Seq("Female", "Male", "Jazz", "Pop", "Rock"), Set("Female", "Pop"))
-    assert(s.toSeq == Seq(1, 0, 0, 1, 0))
-  }
-  test("encoded membership: (s AND e) == s") {
-    val u = Seq("Female", "Male", "Jazz", "Pop", "Rock")
-    val e = encode(u, Set("Female", "Pop", "Rock"))
-    assert(encodedContains(encode(u, Set("Female", "Pop")), e))
-    assert(!encodedContains(encode(u, Set("Male", "Pop")), e))
-  }
-  test("encoded membership rejects length mismatch") {
-    intercept[IllegalArgumentException] {
-      encodedContains(Array(1), Array(1, 0))
-    }
-  }
-  test("encoding of a level-k subgroup has exactly k ones") {
-    val s = encode(universe, Set("Jazz", "Rock"))
-    assert(s.sum == 2)
+    val femalePop = "Female&Pop"
+    assert(Lens.Single(2).keys(Seq("Female", "Pop", "Rock"), Nil).contains(femalePop))
+    assert(!Lens.Single(2).keys(Seq("Female", "Rock"), Nil).contains(femalePop))
+    assert(Lens.Single(2).keys(Seq("Pop"), Nil).isEmpty)
   }
 
   test("occurring subgroups filter to those present in data") {
-    val records = Seq(Seq("Female", "Pop"), Seq("Male", "Rock"), Seq("Female", "Rock"))
-    val occ = occurring(records, 2).map(_.key)
-    assert(occ.contains("Female&Pop") && occ.contains("Female&Rock") && occ.contains("Male&Rock"))
-    assert(!occ.contains("Male&Pop"))
-    // non-sensical combos (two values no record holds together) are excluded
-    assert(!occ.contains("Pop&Rock"))
+    val df = TestPairs.scored(spark, Seq(
+      (1L, 2L, Seq("Female", "Pop"), Seq("Male", "Rock"), 1, 1.0),
+      (3L, 4L, Seq("Female", "Rock"), Seq("Female", "Rock"), 0, 0.0)))
+    // Male&Pop and Pop&Rock: no record holds the two groups together.
+    assert(counts(df, Lens.Single(2)).keySet == Set("Female&Pop", "Female&Rock", "Male&Rock"))
   }
   test("occurring at level 1 lists all present groups") {
-    val occ = occurring(Seq(Seq("a"), Seq("b")), 1).map(_.key)
-    assert(occ.toSet == Set("a", "b"))
+    val df = TestPairs.scored(spark, Seq((1L, 2L, Seq("a"), Seq("a"), 1, 1.0), (3L, 4L, Seq("b"), Seq("b"), 0, 0.0)))
+    assert(counts(df, Lens.Single(1)).keySet == Set("a", "b"))
   }
 }
